@@ -11,11 +11,11 @@ from .allocation import (
 from .geometry import Tolerances, cross, rotation_about_axis, wrench
 from .hull import (
     CapacityError,
+    VertexHull,
     WrenchHull,
     construct_hull,
     enumerate_binary_images,
     hull_contains,
-    minkowski_merge,
     prune_redundant,
     satisfies_task_hull,
 )

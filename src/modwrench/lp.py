@@ -24,6 +24,9 @@ BOUNDARY_TOL = 1e-9
 ZERO_WRENCH_TOL = 1e-12
 # Equality-constraint residual accepted as feasible.
 FEASIBILITY_TOL = 1e-8
+# Relative singular-value cut for the rank of A, and the off-range residual
+# of a unit direction beyond which it is unreachable.
+RANGE_TOL = 1e-9
 
 _RCOST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -243,12 +246,22 @@ def max_lambda(A, w_hat, f_max: float, tol: float = 1e-9):
     if not (np.isfinite(f_max) and f_max > 0):
         raise ValueError("f_max must be positive")
     n = A.shape[1]
+    # The rows of a rank-deficient A are dependent, which leaves the simplex
+    # pivoting on round-off.  Solve in an orthonormal basis of range(A)
+    # instead, where a direction off that range is reachable only at 0.
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    basis = U[:, s > RANGE_TOL * s[0]]
+    if basis.shape[1] < A.shape[0]:
+        w_range = basis.T @ w_hat
+        if np.linalg.norm(w_hat - basis @ w_range) > RANGE_TOL:
+            return 0.0, np.zeros(n)
+        A, w_hat = basis.T @ A, w_range
     c = np.zeros(n + 1)
     c[-1] = 1.0
     eq = np.hstack([A, -w_hat[:, None]])
     lo = np.zeros(n + 1)
     hi = np.concatenate([np.full(n, float(f_max)), [np.inf]])
-    sol = solve_lp(LpProblem(c, eq, np.zeros(A.shape[0]), lo, hi))
+    sol = solve_lp(LpProblem(c, eq, np.zeros(eq.shape[0]), lo, hi))
     if sol.status != "optimal":  # u = 0 is always feasible and lambda is bounded
         raise RuntimeError(f"direction maximization ended {sol.status}")
     return float(sol.x[-1]), sol.x[:-1]

@@ -113,10 +113,8 @@ def exhaustive_search(initial: StructureConfig, task, opts: SearchOptions | None
     """Breadth-first search over all connected growths of the initial design.
 
     Levels are indexed by the number of added modules; within a level the
-    torque-balanced designs are checked in canonical order and the first
-    satisfying one is returned, so the result has the smallest reachable
-    module count.  Non-balanced designs are still expanded: a later, larger
-    design built on top of them may balance out.
+    designs are checked in canonical order and the first satisfying one is
+    returned, so the result has the smallest reachable module count.
     """
     opts = opts or SearchOptions()
     A0 = configuration_matrix(initial)
@@ -129,9 +127,6 @@ def exhaustive_search(initial: StructureConfig, task, opts: SearchOptions | None
     for added in range(opts.n_max + 1):
         for key in sorted(level):
             config = StructureConfig(frozenset(level[key]), initial.params)
-            A = configuration_matrix(config)
-            if not is_torque_balanced(A, opts.torque_balance_tol):
-                continue
             evaluations += 1
             if check(config):
                 return SearchResult(config, config.n_modules, evaluations, True,
@@ -215,9 +210,6 @@ def heuristic_search(initial: StructureConfig, task, opts: SearchOptions | None 
     n_levels = opts.n_max // 2
     for level in generate_config_symmetry(initial, n_levels):
         for config in level:
-            A = configuration_matrix(config)
-            if not is_torque_balanced(A, opts.torque_balance_tol):
-                continue
             evaluations += 1
             if check(config):
                 return SearchResult(config, config.n_modules, evaluations, True,

@@ -142,6 +142,19 @@ class TestHull:
         assert vertices.shape == oracle.vertices.shape
         assert np.array_equal(vertices, oracle.vertices)
 
+    @pytest.mark.parametrize("cells, vertices", [
+        ({(0, 0), (1, 0), (0, 1), (1, 1)}, 6420),
+        ({(i, 0) for i in range(5)}, 3472),
+    ])
+    def test_largest_structures_export(self, cells, vertices, tmp_path, capsys):
+        # the 2x2 block and the 20-column 1x5 bar, the hull export limit
+        path = tmp_path / "s.txt"
+        write_structure(path, StructureConfig(frozenset(cells)))
+        out = tmp_path / "h.txt"
+        assert main(["hull", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"{vertices} vertices")
+        assert read_hull_vertices(out).shape == (vertices, 6)
+
     def test_capacity_exceeded_exits_5(self, tmp_path, capsys):
         big = tmp_path / "big.txt"
         write_structure(big, StructureConfig(frozenset((i, 0) for i in range(6))))

@@ -1,18 +1,24 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modwrench.hull import (
     CapacityError,
     construct_hull,
     enumerate_binary_images,
     hull_contains,
-    minkowski_merge,
     prune_redundant,
     satisfies_task_hull,
 )
+from modwrench.lp import satisfies_wrench
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
 SQRT2 = np.sqrt(2.0)
+BAR3 = {(0, 0), (1, 0), (2, 0)}
+BLOCK = {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
 def vertex_sets_match(v1, v2, tol=1e-8):
@@ -88,26 +94,23 @@ class TestPrune:
 
 
 class TestMinkowskiMerge:
+    """Minkowski sums of segments, built from their generators."""
+
     def test_identity_element(self):
         g = np.array([0.0, 1, 0, 0, 0, 0])
-        h1 = prune_redundant(np.vstack([np.zeros(6), g]))
-        h2 = prune_redundant(np.zeros((1, 6)))
-        merged = minkowski_merge(h1, h2)
-        assert vertex_sets_match(merged.vertices, h1.vertices)
+        merged = construct_hull(np.column_stack([g, np.zeros(6)]), 1.0)
+        assert vertex_sets_match(merged.vertices, np.vstack([np.zeros(6), g]))
 
     def test_orthogonal_segments_make_square(self):
         e1 = np.zeros(6); e1[0] = 1.0
         e2 = np.zeros(6); e2[1] = 1.0
-        h1 = prune_redundant(np.vstack([np.zeros(6), e1]))
-        h2 = prune_redundant(np.vstack([np.zeros(6), e2]))
-        merged = minkowski_merge(h1, h2)
+        merged = construct_hull(np.column_stack([e1, e2]), 1.0)
         expected = np.vstack([np.zeros(6), e1, e2, e1 + e2])
         assert vertex_sets_match(merged.vertices, np.unique(expected, axis=0))
 
     def test_parallel_segments_collapse(self):
         g = np.array([1.0, 1, 0, 0, 0, 0])
-        h = prune_redundant(np.vstack([np.zeros(6), g]))
-        merged = minkowski_merge(h, h)
+        merged = construct_hull(np.column_stack([g, g]), 1.0)
         assert vertex_sets_match(merged.vertices, np.vstack([np.zeros(6), 2 * g]))
 
 
@@ -167,7 +170,7 @@ class TestContainment:
 
     def test_outside_segment(self):
         g = np.array([0.0, 0, 1, 0, 0, 0])
-        h = prune_redundant(np.vstack([np.zeros(6), g]))
+        h = construct_hull(g[:, None], 1.0)
         assert not hull_contains(h, 2 * g)
 
     def test_interior_points(self):
@@ -188,3 +191,88 @@ class TestTaskSatisfaction:
         A = module_matrix(eta=np.pi / 4)
         assert satisfies_task_hull(A, np.array([[0, 0, 2 * SQRT2, 0, 0, 0]]), 1.0)
         assert not satisfies_task_hull(A, np.array([[0, 0, 3.0, 0, 0, 0]]), 1.0)
+
+
+class TestFacets:
+    @pytest.mark.parametrize("cells, facets, vertices", [
+        ({(0, 0)}, 8, 16),
+        ({(0, 0), (1, 0)}, 88, 178),
+        (BAR3, 266, 656),
+        ({(0, 0), (1, 0), (0, 1)}, 508, 1590),
+    ])
+    def test_facet_and_vertex_counts(self, cells, facets, vertices):
+        h = construct_hull(module_matrix(cells), 1.0)
+        assert h.n_facets == facets
+        assert h.n_vertices == vertices
+
+
+@pytest.fixture(scope="module")
+def block_hull():
+    A = module_matrix(BLOCK)
+    return A, construct_hull(A, 1.0)
+
+
+class TestBlockVerticesAgainstFacets:
+    def test_vertices_attain_the_support_function(self, block_hull):
+        A, h = block_hull
+        rng = np.random.default_rng(11)
+        normals = np.vstack([rng.normal(size=(200, 6)), h.normals @ h.basis.T])
+        support = np.maximum(normals @ A, 0.0).sum(axis=1)
+        assert np.allclose((h.vertices @ normals.T).max(axis=0), support, rtol=0, atol=1e-12)
+
+    def test_tight_facets_have_full_rank_at_every_vertex(self, block_hull):
+        _, h = block_hull
+        assert h.dimension == 6
+        slack = h.offsets[None, :] - (h.vertices @ h.basis) @ h.normals.T
+        assert slack.min() >= -h.tol
+        for row in slack:
+            tight = h.normals[np.abs(row) <= 1e-9]
+            assert np.linalg.matrix_rank(tight, tol=1e-9) == h.dimension
+
+
+def banded_wrench(A, inside, margin, coeffs, direction):
+    """A wrench at relative depth `margin` inside or outside the f_max = 1 set of A.
+
+    Inside: A u with every u_i in [margin, 1 - margin].  Outside: pushed along
+    the unit normal n from the support point of n by margin * (sum|n . a_i| + 1).
+    """
+    if inside:
+        return A @ (margin + (1 - 2 * margin) * np.asarray(coeffs[: A.shape[1]]))
+    n = np.asarray(direction) / np.linalg.norm(direction)
+    proj = n @ A
+    return A @ (proj > 0) + margin * (np.abs(proj).sum() + 1.0) * n
+
+
+SCALE_MATRICES = [module_matrix(cells) for cells in ({(0, 0)}, BAR3, BLOCK)]
+
+
+@functools.cache
+def scaled_hull(structure, f_max):
+    return construct_hull(SCALE_MATRICES[structure], f_max)
+
+
+wrench_strategies = dict(
+    structure=st.integers(0, len(SCALE_MATRICES) - 1),
+    k=st.sampled_from([1e-6, 1e6]),
+    inside=st.booleans(),
+    coeffs=st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).filter(
+        lambda d: np.linalg.norm(d) > 0.1),
+)
+
+
+@given(log_margin=st.floats(-4.0, np.log10(0.5)), **wrench_strategies)
+@settings(max_examples=100, deadline=None)
+def test_hull_verdicts_invariant_under_joint_scaling(log_margin, structure, k, inside, coeffs, direction):
+    w = banded_wrench(SCALE_MATRICES[structure], inside, 10.0 ** log_margin, coeffs, direction)
+    for f_max in (1.0, k):
+        assert hull_contains(scaled_hull(structure, f_max), f_max * w) == inside
+
+
+@given(margin=st.floats(0.05, 0.5), **wrench_strategies)
+@settings(max_examples=60, deadline=None)
+def test_lp_verdicts_invariant_under_joint_scaling(margin, structure, k, inside, coeffs, direction):
+    A = SCALE_MATRICES[structure]
+    w = banded_wrench(A, inside, margin, coeffs, direction)
+    for f_max in (1.0, k):
+        assert satisfies_wrench(A, f_max * w, f_max) == inside

@@ -138,6 +138,22 @@ class TestMaxLambda:
             lams = [max_lambda(A, w, f)[0] for f in (0.5, 1.0, 1.5, 2.0)]
             assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
 
+    def test_near_range_direction_on_a_bar(self):
+        # The 1x3 bar has rank 5.  This wrench leaves range(A) by about 1e-9
+        # of its norm; solving with all six dependent rows made the simplex
+        # pivot on round-off and raise "singular simplex basis".
+        A = configuration_matrix(StructureConfig(frozenset({(0, 0), (1, 0), (2, 0)})))
+        n = np.array([0, 0, 0, 1e-9, 0.25, 0])
+        n /= np.linalg.norm(n)
+        w = A @ (n @ A > 0) + 0.39 * (np.abs(n @ A).sum() + 1.0) * n
+        ref = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=w, bounds=[(0, 1)] * A.shape[1],
+                      method="highs")
+        assert ref.status == 2  # infeasible
+        assert not satisfies_wrench(A, w, 1.0)
+        lam, u = max_lambda(A, w / np.linalg.norm(w), 1.0)
+        assert lam < np.linalg.norm(w)
+        assert np.all(u >= 0) and np.all(u <= 1.0)
+
     def test_rejects_non_unit_direction(self):
         A = single_module_matrix()
         with pytest.raises(ValueError):

@@ -27,6 +27,24 @@ def make_config(cells, **params):
     return StructureConfig(frozenset(cells), ModuleParams(**params))
 
 
+def fixed_polyominoes(max_cells):
+    """Translation-distinct 4-connected cell sets of 1..max_cells cells, one set per size."""
+    levels = [{((0, 0),)}]
+    while len(levels) < max_cells:
+        grown = set()
+        for cells in levels[-1]:
+            for x, y in cells:
+                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    if (x + dx, y + dy) in cells:
+                        continue
+                    new = cells + ((x + dx, y + dy),)
+                    x0 = min(c[0] for c in new)
+                    y0 = min(c[1] for c in new)
+                    grown.add(tuple(sorted((cx - x0, cy - y0) for cx, cy in new)))
+        levels.append(grown)
+    return levels
+
+
 class TestModuleParams:
     def test_defaults_valid(self):
         p = ModuleParams()
@@ -160,6 +178,19 @@ class TestTorqueBalance:
         A = build_configuration_matrix(rotors, p.c_tau)
         assert not is_torque_balanced(A, 1e-10)
         assert np.linalg.norm(A[3:, :] @ np.ones(4)) > 1e-3
+
+    def test_every_fixed_polyomino_balances(self):
+        # Each module gives zero torque about its own centre under uniform
+        # thrust and the module offsets from the COM sum to zero, so every
+        # lattice design balances whatever the tilt and drag coefficient.
+        levels = fixed_polyominoes(6)
+        assert [len(level) for level in levels] == [1, 2, 6, 19, 63, 216]
+        rng = np.random.default_rng(7)
+        for eta, c_tau in zip(rng.uniform(0.05, 1.5, size=3), rng.uniform(0.001, 0.1, size=3)):
+            for level in levels:
+                for cells in level:
+                    A = configuration_matrix(make_config(cells, eta=eta, c_tau=c_tau))
+                    assert is_torque_balanced(A, 1e-10), (cells, eta, c_tau)
 
 
 class TestSurfaces:

@@ -27,10 +27,6 @@ E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
-
-
 def wrench(force, torque) -> np.ndarray:
     """Stack a force and a torque 3-vector into a 6-vector."""
     force = np.asarray(force, dtype=float)
@@ -38,14 +34,6 @@ def wrench(force, torque) -> np.ndarray:
     if force.shape != (3,) or torque.shape != (3,):
         raise ValueError("wrench needs a 3-vector force and a 3-vector torque")
     return np.concatenate([force, torque])
-
-
-def force_part(w: np.ndarray) -> np.ndarray:
-    return np.asarray(w, dtype=float)[:3]
-
-
-def torque_part(w: np.ndarray) -> np.ndarray:
-    return np.asarray(w, dtype=float)[3:6]
 
 
 def validate_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Magnitude comparisons against the achievable maximum.
+# Magnitude comparisons against the achievable maximum, relative to
+# f_max * max|a_i|, so verdicts do not change when f_max and the task are
+# rescaled together.
 BOUNDARY_TOL = 1e-9
 # Wrenches below this norm are treated as the zero wrench.
 ZERO_WRENCH_TOL = 1e-12
@@ -268,13 +270,17 @@ def max_lambda(A, w_hat, f_max: float, tol: float = 1e-9):
 
 
 def satisfies_wrench(A, w, f_max: float) -> bool:
-    """True iff the wrench w is inside the feasible set of A under the thrust box."""
+    """True iff the wrench w is inside the feasible set of A under the thrust box.
+
+    The capacity along w may fall short of |w| by BOUNDARY_TOL * f_max * max|a_i|.
+    """
+    A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
     norm = float(np.linalg.norm(w))
     if norm < ZERO_WRENCH_TOL:
         return True
     lam, _ = max_lambda(A, w / norm, f_max)
-    return lam >= norm - BOUNDARY_TOL
+    return lam >= norm - BOUNDARY_TOL * f_max * float(np.linalg.norm(A, axis=0).max())
 
 
 def satisfies_task(A, task, f_max: float):

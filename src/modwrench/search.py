@@ -6,6 +6,16 @@ a centrosymmetric variant that docks module pairs mirrored through the
 center of mass, keeping the COM fixed and torque balance automatic at the
 cost of only reaching odd module counts from a single-module seed.
 
+Both searches skip whole levels with a force-only module-count bound.  All
+modules share one orientation, so the force rows of every n-module design
+are one module's 3 x 4 force block F1 repeated n times, and its force set
+is n Z(F1) whatever the layout, Z(F1) being the zonotope of F1 under the
+thrust box.  One facet test of the task forces against Z(F1) gives the
+fewest modules that can hold them; a level with fewer modules is skipped
+without a matrix build or a check.  Skipped designs still count in
+`evaluations`, and levels are still grown, so the counts and result files
+are the same as with every design checked.
+
 Designs are deduplicated by their translation-canonical cell form; all
 iteration orders are sorted, so results are deterministic.
 """
@@ -18,6 +28,7 @@ import numpy as np
 
 from . import hull, lp
 from .structures import (
+    ModuleParams,
     StructureConfig,
     StructureError,
     attachable_surfaces,
@@ -72,6 +83,56 @@ def _make_checker(task, checker: str):
     return check
 
 
+# Facet excess of a task force over a level's force set n Z(F1) that both
+# checkers reject, per unit of f_max * max|a_i|.  The LP accepts a wrench up
+# to lp.BOUNDARY_TOL short of its capacity, the hull up to hull.GEOMETRY_TOL
+# beyond its own facets.  A force facet normal of Z(F1) need not be a facet
+# normal of the design's hull; along it the hull's band opens by the sum of
+# the facet weights that make it up, under 5 on every design of up to 4
+# modules.  The factor of 100 covers both with room.
+_SKIP_BAND = 100.0 * max(lp.BOUNDARY_TOL, hull.GEOMETRY_TOL)
+
+
+def force_module_bound(params: ModuleParams, task, band=0.0) -> float:
+    """Fewest modules, as a real number, whose common force set holds every task force.
+
+    The force set of every n-module design is n Z(F1).  A force f is in it
+    iff f lies in range(F1) and n_k . f <= n h_k on every facet k of Z(F1),
+    so n_min(f) = max_k (n_k . f) / h_k over the facets with h_k > 0.  It is
+    infinite when f leaves range(F1) or when n_k . f > 0 on a facet with
+    h_k = 0; both infinite cases forgive the membership tolerance of Z(F1).
+    `band`, a scalar or one value per wrench, is subtracted from every facet
+    excess and forgives that much more.  Returns max_f n_min(f); no design
+    with fewer modules can meet the task.
+    """
+    F1 = configuration_matrix(StructureConfig(frozenset({(0, 0)}), params))[:3]
+    zonotope = hull.construct_hull(F1, params.f_max)
+    forces = np.atleast_2d(np.asarray(task, dtype=float))[:, :3]
+    band = np.broadcast_to(np.asarray(band, dtype=float), forces.shape[:1])
+    y = forces @ zonotope.basis
+    excess = y @ zonotope.normals.T - band[:, None]
+    bounded = zonotope.offsets > 0
+    n_min = (excess[:, bounded] / zonotope.offsets[bounded]).max(axis=1, initial=-np.inf)
+    off_range = np.linalg.norm(forces - y @ zonotope.basis.T, axis=1) > band + zonotope.tol
+    n_min[off_range | (excess[:, ~bounded] > zonotope.tol).any(axis=1)] = np.inf
+    return float(n_min.max(initial=0.0))
+
+
+def _skip_bound(initial: StructureConfig, task, n_max: int) -> float:
+    """force_module_bound with the band of the largest design the search reaches.
+
+    Any rotor of an N-module design lies within (N - 1) side lengths plus
+    the arm of the center of mass, which bounds max|a_i|.  On a
+    rank-deficient A the LP also projects away up to lp.RANGE_TOL * |w|.
+    """
+    p = initial.params
+    reach = (initial.n_modules + n_max - 1) * p.side_length + p.arm_length + p.c_tau
+    task = np.atleast_2d(np.asarray(task, dtype=float))
+    band = (_SKIP_BAND * p.f_max * np.hypot(1.0, reach)
+            + lp.RANGE_TOL * np.linalg.norm(task, axis=1))
+    return force_module_bound(p, task, band)
+
+
 def expand_one(config: StructureConfig) -> list[StructureConfig]:
     """All designs adding one module on an attachable surface, deduplicated.
 
@@ -115,22 +176,27 @@ def exhaustive_search(initial: StructureConfig, task, opts: SearchOptions | None
     Levels are indexed by the number of added modules; within a level the
     designs are checked in canonical order and the first satisfying one is
     returned, so the result has the smallest reachable module count.
+    Levels below the force-only bound are counted but not checked.
     """
     opts = opts or SearchOptions()
     A0 = configuration_matrix(initial)
     if not is_torque_balanced(A0, opts.torque_balance_tol):
         raise StructureError("initial design must be torque-balanced")
     check = _make_checker(task, opts.checker)
+    bound = _skip_bound(initial, task, opts.n_max)
     com0 = center_of_mass(initial)
     evaluations = 0
     level = {initial.canonical(): tuple(sorted(initial.cells))}
     for added in range(opts.n_max + 1):
-        for key in sorted(level):
-            config = StructureConfig(frozenset(level[key]), initial.params)
-            evaluations += 1
-            if check(config):
-                return SearchResult(config, config.n_modules, evaluations, True,
-                                    center_of_mass(config) - com0)
+        if initial.n_modules + added < bound:
+            evaluations += len(level)
+        else:
+            for key in sorted(level):
+                config = StructureConfig(frozenset(level[key]), initial.params)
+                evaluations += 1
+                if check(config):
+                    return SearchResult(config, config.n_modules, evaluations, True,
+                                        center_of_mass(config) - com0)
         if added < opts.n_max:
             level = _expand_level(level, initial.params)
     return SearchResult(initial, initial.n_modules, evaluations, False, np.zeros(3))
@@ -194,7 +260,8 @@ def heuristic_search(initial: StructureConfig, task, opts: SearchOptions | None 
     """Search over centrosymmetric growths only; module count grows by 2 per level.
 
     The budget semantics match the exhaustive search: levels are explored
-    while the number of added modules stays within n_max.
+    while the number of added modules stays within n_max.  Levels below the
+    force-only bound are counted but not checked.
     """
     opts = opts or SearchOptions()
     A0 = configuration_matrix(initial)
@@ -203,12 +270,16 @@ def heuristic_search(initial: StructureConfig, task, opts: SearchOptions | None 
     if not is_centrosymmetric(initial):
         raise AsymmetricSeedError("seed cell set must be centrosymmetric about its COM")
     check = _make_checker(task, opts.checker)
+    bound = _skip_bound(initial, task, opts.n_max)
     com0 = center_of_mass(initial)
     evaluations = 1
-    if check(initial):
+    if initial.n_modules >= bound and check(initial):
         return SearchResult(initial, initial.n_modules, evaluations, True, np.zeros(3))
     n_levels = opts.n_max // 2
-    for level in generate_config_symmetry(initial, n_levels):
+    for k, level in enumerate(generate_config_symmetry(initial, n_levels), start=1):
+        if initial.n_modules + 2 * k < bound:
+            evaluations += len(level)
+            continue
         for config in level:
             evaluations += 1
             if check(config):

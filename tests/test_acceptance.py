@@ -127,7 +127,7 @@ def test_criterion_1_hull_matches_binary_oracle(small_structures):
             f"vertex mismatch for cells={sorted(cfg.cells)} eta={cfg.params.eta}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    report(1, f"50 structures, divide-and-conquer hull equals pruned binary images "
+    report(1, f"50 structures, closed-form facet hull equals pruned binary images "
               f"({elapsed:.1f}s)")
 
 

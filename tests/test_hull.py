@@ -269,10 +269,10 @@ def test_hull_verdicts_invariant_under_joint_scaling(log_margin, structure, k, i
         assert hull_contains(scaled_hull(structure, f_max), f_max * w) == inside
 
 
-@given(margin=st.floats(0.05, 0.5), **wrench_strategies)
+@given(log_margin=st.floats(-4.0, np.log10(0.5)), **wrench_strategies)
 @settings(max_examples=60, deadline=None)
-def test_lp_verdicts_invariant_under_joint_scaling(margin, structure, k, inside, coeffs, direction):
+def test_lp_verdicts_invariant_under_joint_scaling(log_margin, structure, k, inside, coeffs, direction):
     A = SCALE_MATRICES[structure]
-    w = banded_wrench(A, inside, margin, coeffs, direction)
+    w = banded_wrench(A, inside, 10.0 ** log_margin, coeffs, direction)
     for f_max in (1.0, k):
         assert satisfies_wrench(A, f_max * w, f_max) == inside

@@ -210,6 +210,16 @@ class TestSatisfies:
         assert satisfies_wrench(A, v, 1.0)
         assert not satisfies_wrench(A, 1.01 * v, 1.0)
 
+    @pytest.mark.parametrize("f_max", [1.0, 1e-6])
+    def test_boundary_band_scales_with_f_max(self, f_max):
+        # 2x2 block: a vertical wrench 1e-5 beyond capacity fails at any
+        # f_max, one 1e-5 short of it passes.
+        cells = {(0, 0), (1, 0), (0, 1), (1, 1)}
+        A = configuration_matrix(StructureConfig(frozenset(cells)))
+        cap = 16 * np.cos(np.pi / 4) * f_max
+        assert not satisfies_wrench(A, np.array([0, 0, cap * (1 + 1e-5), 0, 0, 0]), f_max)
+        assert satisfies_wrench(A, np.array([0, 0, cap * (1 - 1e-5), 0, 0, 0]), f_max)
+
 
 class TestZeroTorqueForce:
     def test_vertical_matches_wrench_route(self):

@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+from modwrench import lp, search
+from modwrench.allocation import generate_random_task
+from modwrench.hull import enumerate_binary_images, satisfies_task_hull
 from modwrench.search import (
     AsymmetricSeedError,
     SearchOptions,
     exhaustive_search,
     expand_one,
+    force_module_bound,
     generate_config_symmetry,
     heuristic_search,
     is_centrosymmetric,
@@ -232,3 +238,123 @@ class TestOptions:
             SearchOptions(method="magic")
         with pytest.raises(ValueError):
             SearchOptions(checker="oracle")
+
+
+def vertical_capacity(eta=np.pi / 4, f_max=1.0):
+    """Largest vertical force of one module (criterion 3's analytic value)."""
+    return 4.0 * f_max * np.cos(eta)
+
+
+def ladder_tasks(n_max, seed=0):
+    """One vertical wrench per step c = 1 .. n_max + 2, strictly inside ((c-1) cap, c cap)."""
+    rng = np.random.default_rng(seed)
+    return [z_task(vertical_capacity() * (c - 1 + rng.uniform(0.05, 0.95)))
+            for c in range(1, n_max + 3)]
+
+
+def random_tasks(count, seed):
+    """Small tasks with lift of a few modules plus modest lateral force and torque."""
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for _ in range(count):
+        task = rng.uniform(-1.0, 1.0, size=(4, 6)) * [0.5, 0.5, 0.0, 0.05, 0.05, 0.05]
+        task[:, 2] = rng.uniform(0.5, 10.0, size=4)
+        tasks.append(task)
+    return tasks
+
+
+def levels_up_to(n_modules):
+    """Every fixed polyomino of at most n_modules cells, grouped by size."""
+    levels = [[make_config({(0, 0)})]]
+    while len(levels) < n_modules:
+        children = {c.canonical(): c for cfg in levels[-1] for c in expand_one(cfg)}
+        levels.append([children[k] for k in sorted(children)])
+    return levels
+
+
+def same_result(a, b):
+    return (a.config == b.config and a.modules_total == b.modules_total
+            and a.evaluations == b.evaluations and a.satisfied == b.satisfied
+            and np.array_equal(a.com_shift, b.com_shift))
+
+
+class TestForceBound:
+    @pytest.mark.parametrize("eta", [np.pi / 4, 0.3, 0.0])
+    @pytest.mark.parametrize("f_max", [1.0, 2.5e-3])
+    def test_vertical_task_needs_analytic_count(self, eta, f_max):
+        rng = np.random.default_rng(7)
+        for fz in vertical_capacity(eta, f_max) * rng.uniform(0.05, 9.0, size=20):
+            expected = math.ceil(fz / vertical_capacity(eta, f_max))
+            assert math.ceil(force_module_bound(ModuleParams(eta=eta, f_max=f_max), z_task(fz))) == expected
+
+    def test_default_experiment_task_needs_six(self):
+        task = generate_random_task(80, half_range=0.5, fz_scale=30.0, seed=55539)
+        task[:, 2] = np.abs(task[:, 2])
+        assert math.ceil(force_module_bound(ModuleParams(), task)) == 6
+
+    def test_unreachable_forces_are_infinite(self):
+        assert force_module_bound(ModuleParams(), z_task(-1.0)) == np.inf
+        sideways = np.array([[0.5, 0.0, 3.0, 0.0, 0.0, 0.0]])
+        assert force_module_bound(ModuleParams(eta=0.0), sideways) == np.inf
+        assert force_module_bound(ModuleParams(eta=0.0), z_task(3.0)) == pytest.approx(0.75)
+
+    def test_zero_task_needs_nothing(self):
+        assert force_module_bound(ModuleParams(), np.zeros((2, 6))) == 0.0
+
+    def test_designs_below_the_bound_fail_both_checkers(self):
+        # Random tasks, plus forces 1e-6 beyond n Z(F1) at each vertex of
+        # Z(F1), where the bound is tight.
+        levels = levels_up_to(4)
+        F1 = configuration_matrix(levels[0][0])[:3]
+        tasks = random_tasks(4, seed=5)
+        for n in (1, 2, 3):
+            task = np.zeros((16, 6))
+            task[:, :3] = n * (1 + 1e-6) * enumerate_binary_images(F1, 1.0)
+            tasks += [task[i:i + 1] for i in (1, 5, 10, 15)]
+        skipped = 0
+        for task in tasks:
+            bound = force_module_bound(ModuleParams(), task)
+            for level in levels:
+                if level[0].n_modules >= bound:
+                    break
+                for cfg in level:
+                    A = configuration_matrix(cfg)
+                    assert not lp.satisfies_task(A, task, 1.0)[0]
+                    assert not satisfies_task_hull(A, task, 1.0)
+                    skipped += 1
+        assert skipped > 4 * (1 + 3 + 9)  # the tight tasks alone skip 52 designs
+
+
+class TestSearchWithForceBound:
+    @staticmethod
+    def run_all(tasks, checker):
+        seed = make_config({(0, 0)})
+        return [(exhaustive_search(seed, t, SearchOptions(n_max=3, checker=checker)),
+                 heuristic_search(seed, t, SearchOptions(n_max=4, checker=checker)))
+                for t in tasks]
+
+    @pytest.mark.parametrize("checker", ["lp", "hull"])
+    def test_results_equal_checking_every_design(self, checker, monkeypatch):
+        # The last ladder step needs 5 modules, beyond both budgets; the
+        # hull route leaves it out to keep its 28 builds off the clock.
+        tasks = ladder_tasks(3) + random_tasks(3, seed=11)
+        if checker == "hull":
+            tasks = tasks[:3] + tasks[-1:]
+        bounded = self.run_all(tasks, checker)
+        monkeypatch.setattr(search, "force_module_bound", lambda *args, **kwargs: 0.0)
+        unbounded = self.run_all(tasks, checker)
+        for (ea, ha), (eb, hb) in zip(bounded, unbounded):
+            assert same_result(ea, eb) and same_result(ha, hb)
+
+    def test_unsatisfiable_step_runs_no_lp(self, monkeypatch):
+        calls = []
+        max_lambda = lp.max_lambda
+        monkeypatch.setattr(lp, "max_lambda", lambda *a, **k: calls.append(1) or max_lambda(*a, **k))
+        task = z_task(7.5 * vertical_capacity())
+        seed = make_config({(0, 0)})
+        res = exhaustive_search(seed, task, SearchOptions(n_max=6))
+        assert not res.satisfied and res.evaluations == 1067
+        res = heuristic_search(seed, task, SearchOptions(n_max=6))
+        assert not res.satisfied
+        assert res.evaluations == 1 + sum(len(level) for level in generate_config_symmetry(seed, 3))
+        assert calls == []

@@ -47,7 +47,7 @@ def cmd_check(args) -> int:
         h = hull.construct_hull(A, f_max)
         verdicts = [hull.hull_contains(h, w) for w in task]
     else:
-        verdicts = [lp.satisfies_wrench(A, w, f_max) for w in task]
+        verdicts = lp.task_verdicts(A, task, f_max)
     for i, ok in enumerate(verdicts):
         print(f"wrench {i}: {'ok' if ok else 'INFEASIBLE'}")
     satisfied = all(verdicts)

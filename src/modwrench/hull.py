@@ -190,6 +190,8 @@ def _in_hull_residual(points: np.ndarray, x: np.ndarray) -> float:
 # Fixed direction battery used to certify clear vertices without an LP.
 _N_CERTIFY_DIRECTIONS = 384
 _CERTIFY_SEED = 20230517
+# Largest point-by-direction projection the certification may allocate.
+_CERTIFY_BYTES = 256 << 20
 
 
 def _certified_extremes(points: np.ndarray) -> np.ndarray:
@@ -197,12 +199,18 @@ def _certified_extremes(points: np.ndarray) -> np.ndarray:
 
     Such a point cannot be a convex combination of the others (the gap along
     the certifying direction dwarfs REDUNDANCY_TOL), so the per-point LP can
-    be skipped for it.  Purely an exactness-preserving fast path.
+    be skipped for it.  Purely an exactness-preserving fast path.  Raises
+    CapacityError when the projection, n x (n + 384 + 2 dim) at most, would
+    exceed _CERTIFY_BYTES.
     """
     n, dim = points.shape
     certified = np.zeros(n, dtype=bool)
     if n < 3:
         return certified
+    if 8 * n * (n + _N_CERTIFY_DIRECTIONS + 2 * dim) > _CERTIFY_BYTES:
+        raise CapacityError(
+            f"certifying {n} points would need a {n} x {n + _N_CERTIFY_DIRECTIONS + 2 * dim} "
+            f"projection; the limit is {_CERTIFY_BYTES >> 20} MiB")
     rng = np.random.default_rng(_CERTIFY_SEED)
     dirs = rng.normal(size=(_N_CERTIFY_DIRECTIONS, dim))
     # Outward rays from the centroid reach most true vertices directly.
@@ -229,7 +237,9 @@ def prune_redundant(points) -> VertexHull:
     The hull of the output equals the hull of the input; each candidate is
     tested with a feasibility LP at REDUNDANCY_TOL (clear extreme points are
     certified without one).  Output rows stay in lexicographic order, which
-    makes the result deterministic.
+    makes the result deterministic.  Raises CapacityError for point sets
+    whose certification would exceed its memory budget: 5,599 or more
+    points in six dimensions.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:

@@ -10,6 +10,17 @@ deterministic and termination is guaranteed.
 On top of the solver sit the wrench-satisfiability queries: the maximum
 achievable magnitude along a wrench direction under the thrust box, the
 per-wrench and per-task verdicts, and the zero-torque force variant.
+
+A task of several wrenches is checked in one batched solve,
+`max_lambda_many`.  Each wrench direction gets its own simplex over the same
+columns, started from u = 0, lambda = 0 with one artificial per row basic
+at 0 and pinned to [0, 0]; that point is feasible, so there is no phase 1.
+The K bases and their inverses are held as stacked arrays and every pivot
+is one numpy step across the batch, with B^-1 kept by rank-one (eta)
+updates and refactored from the basis columns every _REFACTOR_EVERY pivots
+(Bertsimas & Tsitsiklis, Introduction to Linear Optimization, ch. 3).  Pricing, the switch to Bland's rule and the
+iteration bound follow `_simplex`.  A one-wrench task takes the scalar
+route, which is faster for a single direction.
 """
 
 from __future__ import annotations
@@ -32,6 +43,9 @@ RANGE_TOL = 1e-9
 
 _RCOST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
+# Pivots between refactorizations of the stacked basis inverses of
+# max_lambda_many; the eta updates in between accumulate round-off.
+_REFACTOR_EVERY = 32
 
 
 @dataclass
@@ -269,6 +283,131 @@ def max_lambda(A, w_hat, f_max: float, tol: float = 1e-9):
     return float(sol.x[-1]), sol.x[:-1]
 
 
+def max_lambda_many(A, W_hat, f_max: float):
+    """max_lambda for every row of W_hat at once; returns (lambda_star (k,), U (k, n)).
+
+    Each row must be a unit 6-vector.  The range(A) projection is the one
+    of max_lambda: a row that leaves range(A) gets lambda = 0 and u = 0.
+    """
+    A = np.asarray(A, dtype=float)
+    W = np.atleast_2d(np.asarray(W_hat, dtype=float))
+    if W.ndim != 2 or W.shape[1] != A.shape[0]:
+        raise ValueError("direction size must match the wrench dimension")
+    if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > 1e-9):
+        raise ValueError("direction must have unit norm")
+    if not (np.isfinite(f_max) and f_max > 0):
+        raise ValueError("f_max must be positive")
+    lam = np.zeros(W.shape[0])
+    U = np.zeros((W.shape[0], A.shape[1]))
+    Q, s, _ = np.linalg.svd(A, full_matrices=False)
+    Q = Q[:, s > RANGE_TOL * s[0]]
+    rows = np.arange(W.shape[0])
+    if Q.shape[1] < A.shape[0]:
+        W_range = W @ Q
+        rows = np.flatnonzero(np.linalg.norm(W - W_range @ Q.T, axis=1) <= RANGE_TOL)
+        A, W = Q.T @ A, W_range[rows]
+    if rows.size:
+        lam[rows], U[rows] = _max_lambda_batch(A, W, float(f_max))
+    return lam, U
+
+
+def _max_lambda_batch(A, W, f_max):
+    """Stacked simplex of max lambda s.t. A u - lambda w_k + a = 0 for every row w_k.
+
+    Variables are u (indices 0..n-1, in [0, f_max]), lambda (index n, in
+    [0, inf)) and one artificial per row (pinned to [0, 0]), all started at
+    0 with the artificials basic.  Only the lambda column differs between
+    problems, so the others are shared.  Per problem, the rules are those
+    of _simplex: steepest reduced cost, Bland's rule after 2(m + 2)
+    degenerate pivots, and ratio-test ties within 1e-12 broken by the
+    smallest variable index.  A problem that reaches optimality is recorded
+    and masked out of every later update.  The arrays keep their shape
+    rather than shrink, so every pivot reuses buffers of the same sizes.
+    """
+    m, n = A.shape
+    k = W.shape[0]
+    shared = np.hstack([A, np.zeros((m, 1)), np.eye(m)])
+    upper = np.concatenate([np.full(n, f_max), [np.inf], np.zeros(m)])
+
+    def basis_matrices(W, basis):
+        return np.where(basis[:, None, :] == n, -W[:, :, None],
+                        shared[:, basis].transpose(1, 0, 2))
+
+    basis = np.tile(np.arange(n + 1, n + 1 + m), (k, 1))
+    is_basic = np.zeros((k, n + 1 + m), dtype=bool)
+    is_basic[:, n + 1:] = True
+    at_upper = np.zeros_like(is_basic)  # never set on a basic variable
+    b_inv = np.tile(np.eye(m), (k, 1, 1))
+    stalled = np.zeros(k, dtype=int)
+    active = np.ones(k, dtype=bool)
+    lam, U = np.empty(k), np.empty((k, n))
+    r = np.arange(k)
+    # _simplex's bound for the phase-1 columns of max_lambda: n + 1 + 2m.
+    max_iter = 2000 + 200 * (n + 1 + 3 * m)
+    try:
+        for it in range(max_iter):
+            # Only u can rest at a nonzero bound: lambda has none, the
+            # artificials are pinned at 0.
+            x_u = np.where(at_upper[:, :n], f_max, 0.0)
+            rhs = -(x_u @ A.T)
+            x_b = (b_inv @ rhs[:, :, None])[:, :, 0]
+            y = ((basis == n)[:, None, :] @ b_inv)[:, 0]
+            d = np.hstack([-(y @ A), 1.0 + (y * W).sum(axis=1, keepdims=True)])
+            gain = np.where(at_upper[:, :n + 1], -d, d)
+            gain[is_basic[:, :n + 1]] = 0.0
+            improving = (gain > _RCOST_TOL) & active[:, None]
+            done = active & ~improving.any(axis=1)
+            if done.any():
+                # Final basic values from the basis columns, free of eta drift.
+                x = np.zeros((done.sum(), n + 1 + m))
+                x[:, :n] = x_u[done]
+                np.put_along_axis(x, basis[done], np.linalg.solve(
+                    basis_matrices(W[done], basis[done]), rhs[done][:, :, None])[:, :, 0], axis=1)
+                lam[done] = x[:, n]
+                U[done] = x[:, :n]
+                active &= ~done
+                if not active.any():
+                    return lam, U
+            j = np.where(stalled > 2 * (m + 2), improving.argmax(axis=1),
+                         np.where(improving, gain, -np.inf).argmax(axis=1))
+            entering = np.where((j == n)[:, None], -W, A.T[np.minimum(j, n - 1)])
+            alpha = (b_inv @ entering[:, :, None])[:, :, 0]
+            step = np.where(at_upper[r, j], -1.0, 1.0)[:, None] * alpha
+            # Ratio test: smallest step before a basic variable or the entering
+            # variable itself hits a bound.
+            ub = upper[basis]
+            down = step > _PIVOT_TOL
+            up = (step < -_PIVOT_TOL) & np.isfinite(ub)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lim = np.where(down, x_b / step, np.where(up, (ub - x_b) / -step, np.inf))
+            lim = np.maximum(lim, 0.0)
+            best = np.minimum(lim.min(axis=1), upper[j])
+            if not np.isfinite(best[active]).all():
+                raise RuntimeError("direction maximization ended unbounded")
+            tied = np.where(lim <= best[:, None] + 1e-12, basis, n + 1 + m)
+            row = tied.argmin(axis=1)
+            flip = (upper[j] <= best + 1e-12) & (j < tied[r, row]) & active
+            stalled = np.where(best <= 1e-12, stalled + 1, 0)
+            at_upper[r[flip], j[flip]] ^= True  # bound flip, basis unchanged
+            p = r[active & ~flip]
+            rp, jp = row[p], j[p]
+            leave = basis[p, rp]
+            at_upper[p, leave] = up[p, rp]
+            is_basic[p, leave] = False
+            basis[p, rp] = jp
+            is_basic[p, jp] = True
+            at_upper[p, jp] = False
+            if (it + 1) % _REFACTOR_EVERY:
+                pivot_row = b_inv[p, rp] / alpha[p, rp][:, None]
+                b_inv[p] -= alpha[p][:, :, None] * pivot_row[:, None, :]
+                b_inv[p, rp] = pivot_row
+            else:
+                b_inv = np.linalg.inv(basis_matrices(W, basis))
+    except np.linalg.LinAlgError as exc:  # guarded by the pivot tolerance
+        raise RuntimeError("singular simplex basis") from exc
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
 def satisfies_wrench(A, w, f_max: float) -> bool:
     """True iff the wrench w is inside the feasible set of A under the thrust box.
 
@@ -283,16 +422,35 @@ def satisfies_wrench(A, w, f_max: float) -> bool:
     return lam >= norm - BOUNDARY_TOL * f_max * float(np.linalg.norm(A, axis=0).max())
 
 
+def task_verdicts(A, task, f_max: float) -> np.ndarray:
+    """satisfies_wrench for every wrench of a task, as one bool per row.
+
+    Zero rows are satisfied; the others share one max_lambda_many solve and
+    the boundary band of satisfies_wrench.  A one-row task goes through
+    satisfies_wrench itself.
+    """
+    A = np.asarray(A, dtype=float)
+    task = np.atleast_2d(np.asarray(task, dtype=float))
+    if task.shape[0] == 1:
+        return np.array([satisfies_wrench(A, task[0], f_max)])
+    norms = np.linalg.norm(task, axis=1)
+    ok = norms < ZERO_WRENCH_TOL
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        lam, _ = max_lambda_many(A, task[rows] / norms[rows, None], f_max)
+        band = BOUNDARY_TOL * f_max * float(np.linalg.norm(A, axis=0).max())
+        ok[rows] = lam >= norms[rows] - band
+    return ok
+
+
 def satisfies_task(A, task, f_max: float):
     """Check every wrench of a task; returns (all_ok, first_failing_index).
 
-    Stops at the first failing wrench; the reported index is the smallest
-    failing one.
+    Every wrench is checked; the reported index is the smallest failing one.
     """
-    task = np.atleast_2d(np.asarray(task, dtype=float))
-    for i, w in enumerate(task):
-        if not satisfies_wrench(A, w, f_max):
-            return False, i
+    failing = np.flatnonzero(~task_verdicts(A, task, f_max))
+    if failing.size:
+        return False, int(failing[0])
     return True, None
 
 

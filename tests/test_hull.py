@@ -13,7 +13,7 @@ from modwrench.hull import (
     prune_redundant,
     satisfies_task_hull,
 )
-from modwrench.lp import satisfies_wrench
+from modwrench.lp import satisfies_task, satisfies_wrench, task_verdicts
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -91,6 +91,12 @@ class TestPrune:
         h = prune_redundant(np.zeros((1, 6)))
         assert h.n_vertices == 1
         assert h.dimension == 0
+
+    def test_certification_memory_budget(self):
+        # 2^13 points would need a 563 MB projection; the budget is 256 MiB.
+        points = np.random.default_rng(0).normal(size=(1 << 13, 6))
+        with pytest.raises(CapacityError, match="MiB"):
+            prune_redundant(points)
 
 
 class TestMinkowskiMerge:
@@ -276,3 +282,36 @@ def test_lp_verdicts_invariant_under_joint_scaling(log_margin, structure, k, ins
     w = banded_wrench(A, inside, 10.0 ** log_margin, coeffs, direction)
     for f_max in (1.0, k):
         assert satisfies_wrench(A, f_max * w, f_max) == inside
+
+
+# The wrench map of a 180 degree turn about z: R_z(pi) on force and torque.
+HALF_TURN = np.diag([-1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("cells", [{(0, 0)}, {(0, 0), (1, 0)}, {(0, 0), (1, 0), (0, 1)}, BAR3],
+                         ids=["1", "1x2", "L", "1x3"])
+def test_half_turn_of_the_lattice_maps_verdicts(cells):
+    # (x, y) -> (-x, -y) turns every module by pi about z.  The module is
+    # symmetric under that turn, so the columns of T A are those of the
+    # turned design, and a wrench w is reachable iff T w is.
+    A = module_matrix(cells)
+    B = module_matrix({(-x, -y) for x, y in cells})
+    TA = HALF_TURN @ A
+    perm = np.abs(TA[:, :, None] - B[:, None, :]).max(axis=0).argmin(axis=1)
+    assert sorted(perm) == list(range(A.shape[1]))
+    assert np.allclose(TA, B[:, perm], rtol=0.0, atol=1e-12)
+
+    rng = np.random.default_rng(len(cells))
+    inside = np.arange(12) % 2 == 0
+    task = np.array([banded_wrench(A, ok, rng.uniform(0.05, 0.3), rng.uniform(size=16),
+                                   rng.normal(size=6)) for ok in inside])
+    turned = task @ HALF_TURN.T
+    assert task_verdicts(A, task, 1.0).tolist() == inside.tolist()
+    assert task_verdicts(B, turned, 1.0).tolist() == inside.tolist()
+    hull_a, hull_b = construct_hull(A, 1.0), construct_hull(B, 1.0)
+    assert [hull_contains(hull_b, w) for w in turned] == inside.tolist()
+    assert [hull_contains(hull_a, w) for w in task] == inside.tolist()
+    for rows in (task, task[inside]):
+        turned_rows = rows @ HALF_TURN.T
+        assert satisfies_task(A, rows, 1.0) == satisfies_task(B, turned_rows, 1.0)
+        assert satisfies_task_hull(A, rows, 1.0) == satisfies_task_hull(B, turned_rows, 1.0)

@@ -8,9 +8,11 @@ from modwrench.lp import (
     equality_feasibility,
     max_force_zero_torque,
     max_lambda,
+    max_lambda_many,
     satisfies_task,
     satisfies_wrench,
     solve_lp,
+    task_verdicts,
 )
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
@@ -219,6 +221,92 @@ class TestSatisfies:
         cap = 16 * np.cos(np.pi / 4) * f_max
         assert not satisfies_wrench(A, np.array([0, 0, cap * (1 + 1e-5), 0, 0, 0]), f_max)
         assert satisfies_wrench(A, np.array([0, 0, cap * (1 - 1e-5), 0, 0, 0]), f_max)
+
+
+# 1 module (rank 4), 1x3 bar (rank 5), 2x2 block, 2x3 plus one cell, 2x4.
+BATCH_STRUCTURES = [
+    {(0, 0)},
+    {(0, 0), (1, 0), (2, 0)},
+    {(0, 0), (1, 0), (0, 1), (1, 1)},
+    {(x, y) for x in range(3) for y in range(2)} | {(3, 0)},
+    {(x, y) for x in range(4) for y in range(2)},
+]
+
+
+def mixed_task(A, f_max, seed):
+    """Wrenches inside, outside, off range(A), zero, repeated and at binary images."""
+    rng = np.random.default_rng(seed)
+    n = A.shape[1]
+    inside = f_max * A @ rng.uniform(0.1, 0.9, size=(n, 2))
+    normals = rng.normal(size=(2, 6))
+    outside = [A @ (f_max * (nv @ A > 0)) + 0.3 * f_max * (np.abs(nv @ A).sum() + 1.0) * nv
+               for nv in normals / np.linalg.norm(normals, axis=1, keepdims=True)]
+    binary = f_max * A @ np.vstack([np.ones(n), rng.integers(0, 2, size=n)]).T
+    rows = [inside[:, 0], outside[0], np.zeros(6), binary[:, 0], inside[:, 1],
+            outside[1], binary[:, 1], inside[:, 0]]
+    Q = np.linalg.svd(A)[0]
+    if np.linalg.matrix_rank(A) < 6:
+        rows.insert(2, inside[:, 1] + 1e-3 * f_max * np.linalg.norm(A) * Q[:, -1])
+    return np.array(rows)
+
+
+def per_wrench(A, task, f_max):
+    """The per-wrench loop satisfies_task used to run."""
+    for i, w in enumerate(task):
+        if not satisfies_wrench(A, w, f_max):
+            return False, i
+    return True, None
+
+
+class TestMaxLambdaMany:
+    @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("cells", BATCH_STRUCTURES, ids=len)
+    def test_matches_scalar_solve_row_by_row(self, cells, f_max):
+        A = configuration_matrix(StructureConfig(frozenset(cells), ModuleParams(f_max=f_max)))
+        scale = f_max * np.linalg.norm(A, axis=0).max()
+        task = mixed_task(A, f_max, seed=len(cells))
+        W = task[np.linalg.norm(task, axis=1) > 0]
+        W = W / np.linalg.norm(W, axis=1, keepdims=True)
+        lam, U = max_lambda_many(A, W, f_max)
+        ref = np.array([max_lambda(A, w, f_max)[0] for w in W])
+        assert np.abs(lam - ref).max() <= 1e-9 * scale
+        assert (ref > 0).sum() >= 5
+        if np.linalg.matrix_rank(A) < 6:
+            assert lam[2] == 0.0 and not U[2].any()  # the row off range(A)
+        assert U.min() >= -1e-9 * f_max and U.max() <= f_max * (1 + 1e-9)
+        assert np.abs(U @ A.T - lam[:, None] * W).max() <= 1e-9 * scale
+        assert satisfies_task(A, task, f_max) == per_wrench(A, task, f_max)
+        assert satisfies_task(A, task[::-1], f_max) == per_wrench(A, task[::-1], f_max)
+
+    def test_verdicts_cover_both_outcomes(self):
+        A = configuration_matrix(StructureConfig(frozenset(BATCH_STRUCTURES[2])))
+        task = mixed_task(A, 1.0, seed=4)
+        verdicts = task_verdicts(A, task, 1.0)
+        assert verdicts.tolist() == [satisfies_wrench(A, w, 1.0) for w in task]
+        assert verdicts.any() and not verdicts.all()
+        assert satisfies_task(A, task[verdicts], 1.0) == (True, None)
+
+    def test_one_batch_against_highs(self):
+        A = configuration_matrix(StructureConfig(frozenset(BATCH_STRUCTURES[3])))
+        W = np.random.default_rng(5).normal(size=(12, 6))
+        W[:, 2] = np.abs(W[:, 2]) * 4
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        lam, _ = max_lambda_many(A, W, 1.0)
+        n = A.shape[1]
+        for w, got in zip(W, lam):
+            ref = linprog(np.r_[np.zeros(n), -1.0], A_eq=np.hstack([A, -w[:, None]]),
+                          b_eq=np.zeros(6), bounds=[(0, 1)] * n + [(0, None)], method="highs")
+            assert ref.status == 0
+            assert got == pytest.approx(-ref.fun, abs=1e-7)
+
+    def test_rejects_bad_directions(self):
+        A = single_module_matrix()
+        with pytest.raises(ValueError):
+            max_lambda_many(A, np.array([[0, 0, 1.0, 0, 0, 0], [0, 0, 2.0, 0, 0, 0]]), 1.0)
+        with pytest.raises(ValueError):
+            max_lambda_many(A, np.eye(3), 1.0)
+        with pytest.raises(ValueError):
+            max_lambda_many(A, np.eye(6), 0.0)
 
 
 class TestZeroTorqueForce:

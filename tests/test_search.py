@@ -347,14 +347,19 @@ class TestSearchWithForceBound:
             assert same_result(ea, eb) and same_result(ha, hb)
 
     def test_unsatisfiable_step_runs_no_lp(self, monkeypatch):
+        # A one-wrench task takes the scalar solve, a longer one the batched
+        # solve; neither may run on a skipped level.
         calls = []
-        max_lambda = lp.max_lambda
-        monkeypatch.setattr(lp, "max_lambda", lambda *a, **k: calls.append(1) or max_lambda(*a, **k))
-        task = z_task(7.5 * vertical_capacity())
+        for name in ("max_lambda", "max_lambda_many"):
+            solve = getattr(lp, name)
+            monkeypatch.setattr(lp, name,
+                                lambda *a, solve=solve, **k: calls.append(1) or solve(*a, **k))
         seed = make_config({(0, 0)})
-        res = exhaustive_search(seed, task, SearchOptions(n_max=6))
-        assert not res.satisfied and res.evaluations == 1067
-        res = heuristic_search(seed, task, SearchOptions(n_max=6))
-        assert not res.satisfied
-        assert res.evaluations == 1 + sum(len(level) for level in generate_config_symmetry(seed, 3))
+        symmetric = 1 + sum(len(level) for level in generate_config_symmetry(seed, 3))
+        cap = vertical_capacity()
+        for task in (z_task(7.5 * cap), np.vstack([z_task(7.5 * cap), z_task(0.5 * cap)])):
+            res = exhaustive_search(seed, task, SearchOptions(n_max=6))
+            assert not res.satisfied and res.evaluations == 1067
+            res = heuristic_search(seed, task, SearchOptions(n_max=6))
+            assert not res.satisfied and res.evaluations == symmetric
         assert calls == []

@@ -380,3 +380,26 @@ def hull_contains(hull: WrenchHull, w) -> bool:
 def satisfies_task_hull(A, task, f_max: float) -> bool:
     """Build the wrench hull once, then test every task wrench against it."""
     return bool(_inside(construct_hull(A, f_max), task).all())
+
+
+def separating_normal_hull(A, task, f_max: float):
+    """satisfies_task_hull's verdict, with a unit normal that separates a failing wrench.
+
+    Returns None when the hull holds every task wrench, else (i, n): wrench
+    i fails and n . w_i > h(n).  A wrench off range(A) gives its residual
+    direction; otherwise n is the most violated facet normal, mapped back
+    to six coordinates through the hull's basis.
+    """
+    h = construct_hull(A, f_max)
+    W = np.atleast_2d(np.asarray(task, dtype=float))
+    y = W @ h.basis
+    off = W - y @ h.basis.T
+    off_norm = np.linalg.norm(off, axis=1)
+    if (off_norm > h.tol).any():
+        i = int(np.argmax(off_norm))
+        return i, off[i] / off_norm[i]
+    excess = y @ h.normals.T - (h.offsets + h.tol)
+    i, k = np.unravel_index(np.argmax(excess), excess.shape)
+    if excess[i, k] <= 0.0:
+        return None
+    return int(i), h.basis @ h.normals[k]

@@ -18,9 +18,20 @@ at 0 and pinned to [0, 0]; that point is feasible, so there is no phase 1.
 The K bases and their inverses are held as stacked arrays and every pivot
 is one numpy step across the batch, with B^-1 kept by rank-one (eta)
 updates and refactored from the basis columns every _REFACTOR_EVERY pivots
-(Bertsimas & Tsitsiklis, Introduction to Linear Optimization, ch. 3).  Pricing, the switch to Bland's rule and the
-iteration bound follow `_simplex`.  A one-wrench task takes the scalar
-route, which is faster for a single direction.
+(Bertsimas & Tsitsiklis, Introduction to Linear Optimization, ch. 3).
+Pricing, the switch to Bland's rule and the iteration bound follow
+`_simplex`.  A one-wrench task takes the scalar route, which is faster
+for a single direction.
+
+A search needs only to know whether some wrench fails, and how.
+`separating_normal` runs the same batch but stops it at the first problem
+that is optimal and short of |w| minus the boundary band, and settles a
+problem as soon as its lambda, solved from the basis columns, reaches |w|.
+The failing problem's dual y gives the unit normal n = -y / |y| (mapped
+back from range(A) on a rank-deficient A) with n . w > h_A(n), h_A being
+the support function f_max * sum_i max(0, n . a_i) of the wrench set
+(LP duality: Bertsimas & Tsitsiklis, ch. 4).  `task_verdicts` keeps full
+solves, since `check` prints every verdict.
 """
 
 from __future__ import annotations
@@ -299,19 +310,30 @@ def max_lambda_many(A, W_hat, f_max: float):
         raise ValueError("f_max must be positive")
     lam = np.zeros(W.shape[0])
     U = np.zeros((W.shape[0], A.shape[1]))
-    Q, s, _ = np.linalg.svd(A, full_matrices=False)
-    Q = Q[:, s > RANGE_TOL * s[0]]
-    rows = np.arange(W.shape[0])
-    if Q.shape[1] < A.shape[0]:
-        W_range = W @ Q
-        rows = np.flatnonzero(np.linalg.norm(W - W_range @ Q.T, axis=1) <= RANGE_TOL)
-        A, W = Q.T @ A, W_range[rows]
+    _, A_range, W_range, off = _range_coordinates(A, W)
+    rows = np.flatnonzero(np.linalg.norm(off, axis=1) <= RANGE_TOL)
     if rows.size:
-        lam[rows], U[rows] = _max_lambda_batch(A, W, float(f_max))
+        lam[rows], U[rows] = _max_lambda_batch(A_range, W_range[rows], float(f_max))
     return lam, U
 
 
-def _max_lambda_batch(A, W, f_max):
+def _range_coordinates(A, W):
+    """max_lambda's projection of A and of every row of W onto range(A).
+
+    Returns (Q, A_range, W_range, off).  Q is an orthonormal basis of
+    range(A), or None when A has full row rank and nothing is projected;
+    A_range and W_range are A and W in the coordinates of Q; off holds the
+    part of each row of W off range(A).
+    """
+    Q, s, _ = np.linalg.svd(A, full_matrices=False)
+    Q = Q[:, s > RANGE_TOL * s[0]]
+    if Q.shape[1] == A.shape[0]:
+        return None, A, W, np.zeros_like(W)
+    W_range = W @ Q
+    return Q, Q.T @ A, W_range, W - W_range @ Q.T
+
+
+def _max_lambda_batch(A, W, f_max, stop=None):
     """Stacked simplex of max lambda s.t. A u - lambda w_k + a = 0 for every row w_k.
 
     Variables are u (indices 0..n-1, in [0, f_max]), lambda (index n, in
@@ -323,6 +345,16 @@ def _max_lambda_batch(A, W, f_max):
     smallest variable index.  A problem that reaches optimality is recorded
     and masked out of every later update.  The arrays keep their shape
     rather than shrink, so every pivot reuses buffers of the same sizes.
+
+    Returns (lambda_star, U).  With `stop` = (need, enough), two arrays of
+    one value per row, the batch instead ends at the first problem that is
+    optimal with lambda < need and returns (row, y), y being that
+    problem's simplex multipliers; it returns None once every problem is
+    optimal with lambda >= need or settled.  A problem settles as soon as
+    lambda, solved from its basis columns, reaches `enough`: lambda never
+    decreases, so it can no longer end short.  Masking never changes the
+    pivots of the other problems, so every lambda compared with `need` is
+    the one the full solve ends on.
     """
     m, n = A.shape
     k = W.shape[0]
@@ -366,8 +398,21 @@ def _max_lambda_batch(A, W, f_max):
                 lam[done] = x[:, n]
                 U[done] = x[:, :n]
                 active &= ~done
-                if not active.any():
-                    return lam, U
+                if stop is not None:
+                    short = np.flatnonzero(done)[x[:, n] < stop[0][done]]
+                    if short.size:
+                        return int(short[0]), y[short[0]]
+            if stop is not None:
+                # Settle on lambda solved from the basis columns, not on
+                # the eta-updated value that nominates the problem.
+                near = np.flatnonzero(active & (((basis == n) * x_b).sum(axis=1) >= stop[1]))
+                if near.size:
+                    x_near = np.linalg.solve(basis_matrices(W[near], basis[near]),
+                                             rhs[near][:, :, None])[:, :, 0]
+                    lam_near = (x_near * (basis[near] == n)).sum(axis=1)
+                    active[near[lam_near >= stop[1][near]]] = False
+            if not active.any():
+                return (lam, U) if stop is None else None
             j = np.where(stalled > 2 * (m + 2), improving.argmax(axis=1),
                          np.where(improving, gain, -np.inf).argmax(axis=1))
             entering = np.where((j == n)[:, None], -W, A.T[np.minimum(j, n - 1)])
@@ -441,6 +486,45 @@ def task_verdicts(A, task, f_max: float) -> np.ndarray:
         band = BOUNDARY_TOL * f_max * float(np.linalg.norm(A, axis=0).max())
         ok[rows] = lam >= norms[rows] - band
     return ok
+
+
+def separating_normal(A, task, f_max: float):
+    """A task wrench outside the wrench set of A, with a unit normal that separates it.
+
+    Returns None when every wrench passes, else (i, n): wrench i fails and
+    n . w_i > h_A(n) = f_max * sum_j max(0, n . a_j).  On a task of two or
+    more rows the verdict is that of task_verdicts, band included.  A row
+    off range(A) gives its residual direction.  The others share one
+    batched solve that ends at the first problem found optimal and short of
+    |w| - band, whose dual y gives n = -y (mapped back to six coordinates
+    on a rank-deficient A): at that optimum n . w_hat = 1 and
+    h_A(n) = lambda*, so n . w - h_A(n) = |w| - lambda*, up to the
+    reduced-cost tolerance, before n is scaled to unit length.  A problem
+    whose lambda reaches |w| is settled, so a task that passes stops
+    pivoting early too.  Row i need not be the smallest failing index.
+    """
+    A = np.asarray(A, dtype=float)
+    task = np.atleast_2d(np.asarray(task, dtype=float))
+    if not (np.isfinite(f_max) and f_max > 0):
+        raise ValueError("f_max must be positive")
+    norms = np.linalg.norm(task, axis=1)
+    rows = np.flatnonzero(norms >= ZERO_WRENCH_TOL)
+    Q, A_range, W_range, off = _range_coordinates(A, task[rows] / norms[rows, None])
+    need = norms[rows] - BOUNDARY_TOL * f_max * float(np.linalg.norm(A, axis=0).max())
+    off_norm = np.linalg.norm(off, axis=1)
+    unreachable = np.flatnonzero((off_norm > RANGE_TOL) & (need > 0))
+    if unreachable.size:
+        i = unreachable[np.argmax(off_norm[unreachable])]
+        return int(rows[i]), off[i] / off_norm[i]
+    on = np.flatnonzero(off_norm <= RANGE_TOL)
+    if not on.size:
+        return None
+    hit = _max_lambda_batch(A_range, W_range[on], float(f_max), (need[on], norms[rows[on]]))
+    if hit is None:
+        return None
+    i, y = hit
+    n = -y if Q is None else Q @ -y
+    return int(rows[on[i]]), n / np.linalg.norm(n)
 
 
 def satisfies_task(A, task, f_max: float):

@@ -16,6 +16,18 @@ without a matrix build or a check.  Skipped designs still count in
 `evaluations`, and levels are still grown, so the counts and result files
 are the same as with every design checked.
 
+On a task of two or more wrenches, each search also keeps the unit
+normals that separated a failing wrench from the wrench set of a design it
+checked: the LP's dual at the first short wrench, or the hull's most
+violated facet.  By weak duality a normal n rules out the wrench w for any
+design whose support value h_A(n) = f_max * sum_i max(0, n . a_i) falls
+short of n . w by more than the checker's band, so every design is first
+tested against the kept normals, two small matrix products, and fails there
+without a solve or a hull build when one rules it out (Gouttefarde & Krut,
+ARK 2010, for the support-function form of the facets).  Such a design
+would fail its check anyway, so `evaluations` and the results do not
+change.
+
 Designs are deduplicated by their translation-canonical cell form; all
 iteration orders are sorted, so results are deterministic.
 """
@@ -49,7 +61,6 @@ class SearchOptions:
     n_max: int = 7                      # budget of modules added to the seed
     method: str = "exhaustive"          # "exhaustive" | "heuristic"
     checker: str = "lp"                 # "lp" | "hull"
-    torque_balance_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -69,17 +80,65 @@ class SearchResult:
     com_shift: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
+class _SeparatingNormals:
+    """Unit normals that separated a task wrench from the wrench set of an earlier design.
+
+    A unit normal n rules out a wrench w for any design A whose support
+    value h_A(n) = f_max * sum_i max(0, n . a_i) falls short of n . w by
+    more than the checker's band, since every wrench the checker accepts
+    lies within that band of the wrench set.
+    """
+
+    def __init__(self, task):
+        self.task = task
+        self.normals = np.zeros((0, task.shape[1]))
+
+    def rejects(self, A, f_max: float, band) -> bool:
+        """True iff some cached normal rules out some task wrench for A, beyond `band`."""
+        support = f_max * np.maximum(self.normals @ A, 0.0).sum(axis=1)
+        return bool((self.normals @ self.task.T - support[:, None] > band).any())
+
+    def add(self, normal) -> None:
+        self.normals = np.vstack([self.normals, normal])
+
+
 def _make_checker(task, checker: str):
+    """Task check of one search; a task of two or more wrenches shares a normal cache.
+
+    A design the cached normals rule out fails without a solve or a hull
+    build.  Every other design gets a full check, and when it fails, the
+    normal that separates its failing wrench joins the cache.  A one-wrench
+    task keeps the plain check.
+    """
     task = np.atleast_2d(np.asarray(task, dtype=float))
+    if task.shape[0] == 1:
+        if checker == "lp":
+            return lambda config: lp.satisfies_task(
+                configuration_matrix(config), task, config.params.f_max)[0]
+        return lambda config: hull.satisfies_task_hull(
+            configuration_matrix(config), task, config.params.f_max)
+    cache = _SeparatingNormals(task)
     if checker == "lp":
-        def check(config: StructureConfig) -> bool:
-            A = configuration_matrix(config)
-            ok, _ = lp.satisfies_task(A, task, config.params.f_max)
-            return ok
+        # The LP accepts a wrench up to lp.BOUNDARY_TOL short of its
+        # capacity, measured in range(A), which may leave lp.RANGE_TOL * |w|
+        # off the wrench set; it accepts the zero wrench outright.
+        norms = np.linalg.norm(task, axis=1)
+        tol, extra = lp.BOUNDARY_TOL, np.where(norms < lp.ZERO_WRENCH_TOL, np.inf, lp.RANGE_TOL * norms)
     else:
-        def check(config: StructureConfig) -> bool:
-            A = configuration_matrix(config)
-            return hull.satisfies_task_hull(A, task, config.params.f_max)
+        tol, extra = _SKIP_BAND, 0.0
+
+    def check(config: StructureConfig) -> bool:
+        A = configuration_matrix(config)
+        f_max = config.params.f_max
+        if cache.rejects(A, f_max, tol * f_max * float(np.linalg.norm(A, axis=0).max()) + extra):
+            return False
+        if checker == "lp":
+            hit = lp.separating_normal(A, task, f_max)
+        else:
+            hit = hull.separating_normal_hull(A, task, f_max)
+        if hit is not None:
+            cache.add(hit[1])
+        return hit is None
     return check
 
 
@@ -139,14 +198,7 @@ def expand_one(config: StructureConfig) -> list[StructureConfig]:
     Children that are translates of each other collapse to one; the list is
     ordered by canonical form.
     """
-    children = {}
-    for surface in attachable_surfaces(config):
-        cells = set(config.cells)
-        cells.add(surface_free_cell(surface))
-        key = canonical_form(cells)
-        rep = tuple(sorted(cells))
-        if key not in children or rep < children[key]:
-            children[key] = rep
+    children = _expand_level({config.canonical(): tuple(sorted(config.cells))}, config.params)
     return [StructureConfig(frozenset(children[k]), config.params)
             for k in sorted(children)]
 
@@ -180,7 +232,7 @@ def exhaustive_search(initial: StructureConfig, task, opts: SearchOptions | None
     """
     opts = opts or SearchOptions()
     A0 = configuration_matrix(initial)
-    if not is_torque_balanced(A0, opts.torque_balance_tol):
+    if not is_torque_balanced(A0):
         raise StructureError("initial design must be torque-balanced")
     check = _make_checker(task, opts.checker)
     bound = _skip_bound(initial, task, opts.n_max)
@@ -265,7 +317,7 @@ def heuristic_search(initial: StructureConfig, task, opts: SearchOptions | None 
     """
     opts = opts or SearchOptions()
     A0 = configuration_matrix(initial)
-    if not is_torque_balanced(A0, opts.torque_balance_tol):
+    if not is_torque_balanced(A0):
         raise StructureError("initial design must be torque-balanced")
     if not is_centrosymmetric(initial):
         raise AsymmetricSeedError("seed cell set must be centrosymmetric about its COM")

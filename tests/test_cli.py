@@ -1,3 +1,4 @@
+import pathlib
 import subprocess
 import sys
 
@@ -210,3 +211,32 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) == 6
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+class TestGoldenResults:
+    """The default experiment's search output, pinned across versions.
+
+    tests/data holds the result files and stdout of `search --n-max 7` from
+    a single module on the seed-55539 task (f_z folded upward), with f_max
+    and the task both scaled by k = 2^j.  The k = 1 files are also what
+    scripts/run_task_search.py writes with its defaults.
+    """
+
+    @pytest.mark.parametrize("j", [-3, 0, 3])
+    @pytest.mark.parametrize("method", ["exhaustive", "heuristic"])
+    def test_search_bytes(self, method, j, tmp_path, capsys):
+        from modwrench.allocation import generate_random_task
+        k = 2.0 ** j
+        task = generate_random_task(80, half_range=0.5, fz_scale=30.0, seed=55539)
+        task[:, 2] = np.abs(task[:, 2])
+        seed = tmp_path / "seed.txt"
+        write_structure(seed, StructureConfig(frozenset({(0, 0)}), ModuleParams(f_max=k)))
+        out = tmp_path / "result.txt"
+        capsys.readouterr()
+        assert main(["search", str(seed), write_task_file(tmp_path, k * task), "--method", method,
+                     "--n-max", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"stdout_{method}_k{j}.txt").read_text()
+        assert out.read_bytes() == (GOLDEN / f"result_{method}_k{j}.txt").read_bytes()

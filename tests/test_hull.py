@@ -12,6 +12,7 @@ from modwrench.hull import (
     hull_contains,
     prune_redundant,
     satisfies_task_hull,
+    separating_normal_hull,
 )
 from modwrench.lp import satisfies_task, satisfies_wrench, task_verdicts
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
@@ -197,6 +198,32 @@ class TestTaskSatisfaction:
         A = module_matrix(eta=np.pi / 4)
         assert satisfies_task_hull(A, np.array([[0, 0, 2 * SQRT2, 0, 0, 0]]), 1.0)
         assert not satisfies_task_hull(A, np.array([[0, 0, 3.0, 0, 0, 0]]), 1.0)
+
+
+class TestSeparatingNormal:
+    @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("cells", [{(0, 0)}, BAR3, {(0, 0), (1, 0), (0, 1)}],
+                             ids=["module", "bar", "L"])
+    def test_verdict_and_normal(self, cells, f_max):
+        # Images of random thrusts pass; scaled past a vertex, or moved off
+        # range(A) on the flat sets of the module and the bar, they fail.
+        A = module_matrix(cells, f_max=f_max)
+        rng = np.random.default_rng(len(cells))
+        inside = rng.uniform(0.0, 1.0, size=(4, A.shape[1])) @ (f_max * A.T)
+        outside = 1.01 * f_max * A.sum(axis=1)
+        off = inside[0] + 1e-3 * f_max * np.linalg.svd(A)[0][:, -1]
+        tasks = [inside, np.vstack([inside, outside]), np.vstack([outside, inside])]
+        if np.linalg.matrix_rank(A) < 6:
+            tasks.append(np.vstack([inside, off]))
+        for task in tasks:
+            hit = separating_normal_hull(A, task, f_max)
+            assert (hit is None) == satisfies_task_hull(A, task, f_max)
+            if hit is not None:
+                i, n = hit
+                assert not satisfies_task_hull(A, task[i:i + 1], f_max)
+                assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
+                assert n @ task[i] > f_max * np.maximum(n @ A, 0.0).sum()
+        assert separating_normal_hull(A, tasks[0], f_max) is None
 
 
 class TestFacets:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from modwrench import lp as lp_module
 from modwrench.hull import enumerate_binary_images
 from modwrench.lp import (
     LpProblem,
@@ -11,6 +12,7 @@ from modwrench.lp import (
     max_lambda_many,
     satisfies_task,
     satisfies_wrench,
+    separating_normal,
     solve_lp,
     task_verdicts,
 )
@@ -307,6 +309,70 @@ class TestMaxLambdaMany:
             max_lambda_many(A, np.eye(3), 1.0)
         with pytest.raises(ValueError):
             max_lambda_many(A, np.eye(6), 0.0)
+
+
+def early_exit_tasks(A, f_max, seed):
+    """Tasks that pass, fail on their first row, fail on their last row, and leave range(A).
+
+    One task fails on a last row only 1e-6 beyond the capacity along it.
+    """
+    task = mixed_task(A, f_max, seed)
+    ok = task_verdicts(A, task, f_max)
+    passing, failing = task[ok], task[~ok]
+    w_hat = passing[0] / np.linalg.norm(passing[0])
+    tight = (1 + 1e-6) * max_lambda(A, w_hat, f_max)[0] * w_hat
+    tasks = [task, task[::-1], passing, np.vstack([failing[:1], passing]),
+             np.vstack([passing, failing[-1:]]), np.vstack([passing, tight])]
+    if np.linalg.matrix_rank(A) < 6:
+        tasks.append(np.vstack([passing, task[2:3], passing[:1]]))  # task[2] is off range(A)
+    return tasks
+
+
+class TestSeparatingNormal:
+    @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("cells", BATCH_STRUCTURES, ids=len)
+    def test_verdict_and_normal_match_the_full_solve(self, cells, f_max):
+        A = configuration_matrix(StructureConfig(frozenset(cells), ModuleParams(f_max=f_max)))
+        outcomes = []
+        for task in early_exit_tasks(A, f_max, seed=len(cells)):
+            verdicts = task_verdicts(A, task, f_max)
+            hit = separating_normal(A, task, f_max)
+            assert (hit is None) == verdicts.all()
+            outcomes.append(hit is None)
+            if hit is not None:
+                i, n = hit
+                assert not verdicts[i]
+                assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
+                assert n @ task[i] > f_max * np.maximum(n @ A, 0.0).sum()
+        assert any(outcomes) and not all(outcomes)
+
+    def test_returns_the_off_range_row(self):
+        A = configuration_matrix(StructureConfig(frozenset(BATCH_STRUCTURES[1])))
+        task = mixed_task(A, 1.0, seed=3)
+        passing = task[task_verdicts(A, task, 1.0)]
+        i, n = separating_normal(A, np.vstack([passing, task[2:3]]), 1.0)
+        assert i == len(passing)
+        assert np.abs(n @ A).max() <= 1e-12  # the residual direction is orthogonal to range(A)
+
+    def test_stops_and_settles_before_the_full_solve(self, monkeypatch):
+        # With a refactorization at every pivot, the inverses count the
+        # batch's pivots.  A first row that points down fails at once; a task
+        # that passes settles each row as soon as its lambda reaches |w|.
+        A = configuration_matrix(StructureConfig(frozenset(BATCH_STRUCTURES[3])))
+        task = mixed_task(A, 1.0, seed=4)
+        passing = task[task_verdicts(A, task, 1.0)]
+        monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(len(a)) or inv(a))
+        for task, want in ((np.vstack([-passing[:1], passing]), (0,)), (passing, None)):
+            inverses.clear()
+            hit = separating_normal(A, task, 1.0)
+            assert (hit if hit is None else hit[:1]) == want
+            early = len(inverses)
+            inverses.clear()
+            task_verdicts(A, task, 1.0)
+            assert 0 < early < len(inverses)
 
 
 class TestZeroTorqueForce:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from modwrench import lp, search
+from modwrench import hull, lp, search
 from modwrench.allocation import generate_random_task
 from modwrench.hull import enumerate_binary_images, satisfies_task_hull
 from modwrench.search import (
@@ -325,13 +326,15 @@ class TestForceBound:
         assert skipped > 4 * (1 + 3 + 9)  # the tight tasks alone skip 52 designs
 
 
+def run_both(tasks, checker, n_max=3):
+    """Exhaustive search with budget n_max and heuristic search with n_max + 1, per task."""
+    seed = make_config({(0, 0)})
+    return [(exhaustive_search(seed, t, SearchOptions(n_max=n_max, checker=checker)),
+             heuristic_search(seed, t, SearchOptions(n_max=n_max + 1, checker=checker)))
+            for t in tasks]
+
+
 class TestSearchWithForceBound:
-    @staticmethod
-    def run_all(tasks, checker):
-        seed = make_config({(0, 0)})
-        return [(exhaustive_search(seed, t, SearchOptions(n_max=3, checker=checker)),
-                 heuristic_search(seed, t, SearchOptions(n_max=4, checker=checker)))
-                for t in tasks]
 
     @pytest.mark.parametrize("checker", ["lp", "hull"])
     def test_results_equal_checking_every_design(self, checker, monkeypatch):
@@ -340,17 +343,17 @@ class TestSearchWithForceBound:
         tasks = ladder_tasks(3) + random_tasks(3, seed=11)
         if checker == "hull":
             tasks = tasks[:3] + tasks[-1:]
-        bounded = self.run_all(tasks, checker)
+        bounded = run_both(tasks, checker)
         monkeypatch.setattr(search, "force_module_bound", lambda *args, **kwargs: 0.0)
-        unbounded = self.run_all(tasks, checker)
+        unbounded = run_both(tasks, checker)
         for (ea, ha), (eb, hb) in zip(bounded, unbounded):
             assert same_result(ea, eb) and same_result(ha, hb)
 
     def test_unsatisfiable_step_runs_no_lp(self, monkeypatch):
         # A one-wrench task takes the scalar solve, a longer one the batched
-        # solve; neither may run on a skipped level.
+        # solve behind separating_normal; neither may run on a skipped level.
         calls = []
-        for name in ("max_lambda", "max_lambda_many"):
+        for name in ("max_lambda", "max_lambda_many", "separating_normal"):
             solve = getattr(lp, name)
             monkeypatch.setattr(lp, name,
                                 lambda *a, solve=solve, **k: calls.append(1) or solve(*a, **k))
@@ -363,3 +366,139 @@ class TestSearchWithForceBound:
             res = heuristic_search(seed, task, SearchOptions(n_max=6))
             assert not res.satisfied and res.evaluations == symmetric
         assert calls == []
+
+
+def capacity_along(A, f_max, rng):
+    """Capacities lambda* of A along two random unit directions with lift; returns (lambda*, W)."""
+    W = rng.uniform(-1.0, 1.0, size=(2, 6)) * [0.3, 0.3, 0.0, 0.02, 0.02, 0.02]
+    W[:, 2] = 1.0
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    lam, _ = lp.max_lambda_many(A, W, f_max)
+    assert (lam > 0).all()
+    return lam, W
+
+
+L_TROMINO = {(0, 0), (1, 0), (0, 1)}
+
+
+def tight_tasks(f_max, seed):
+    """Two-wrench tasks 1e-6 beyond the capacity of the L tromino and of the 2x2 block."""
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for cells in (L_TROMINO, {(0, 0), (1, 0), (0, 1), (1, 1)}):
+        lam, W = capacity_along(configuration_matrix(make_config(cells, f_max=f_max)), f_max, rng)
+        tasks.append((1 + 1e-6) * lam[:, None] * W)
+    return tasks
+
+
+def torque_task(torque, seed):
+    """Four wrenches with lift of 2-9 N and lateral torques up to `torque`.
+
+    Torques of 0.6 N m and more make many designs of a level fail, which is
+    where the normal cache rejects designs.
+    """
+    rng = np.random.default_rng(seed)
+    task = rng.uniform(-1.0, 1.0, size=(4, 6)) * [0.5, 0.5, 0.0, torque, torque, torque]
+    task[:, 2] = rng.uniform(2.0, 9.0, size=4)
+    return task
+
+
+_UNIT_HULLS = {}
+_construct_hull = hull.construct_hull
+
+
+def scaled_hull(A, f_max):
+    """construct_hull(A, f_max) from one build per matrix at f_max = 1.
+
+    Only the offsets and the membership tolerance depend on f_max, as one
+    product with it, so the result is the same bit for bit.
+    """
+    unit = _UNIT_HULLS.get(A.tobytes())
+    if unit is None:
+        unit = _UNIT_HULLS[A.tobytes()] = _construct_hull(A, 1.0)
+    return dataclasses.replace(unit, f_max=float(f_max), offsets=f_max * unit.offsets,
+                               tol=f_max * unit.tol)
+
+
+class TestSeparatingNormalCache:
+    @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
+    def test_cached_rejections_fail_both_routes(self, f_max, monkeypatch):
+        # Every fixed polyomino of up to 4 cells goes through each checker
+        # twice: the first sweep fills the cache, the second meets every
+        # cached normal.  Matrices and hulls are built once per design.
+        designs = [make_config(cfg.cells, f_max=f_max) for level in levels_up_to(4) for cfg in level]
+        matrices = {cfg.cells: configuration_matrix(cfg) for cfg in designs}
+        monkeypatch.setattr(search, "configuration_matrix", lambda cfg: matrices[cfg.cells])
+        monkeypatch.setattr(hull, "construct_hull", scaled_hull)
+        rejected = {}
+        rejects = search._SeparatingNormals.rejects
+
+        def spy(self, A, f, band):
+            hit = rejects(self, A, f, band)
+            if hit:
+                rejected[A.tobytes()] = A
+            return hit
+
+        monkeypatch.setattr(search._SeparatingNormals, "rejects", spy)
+        tasks = [f_max * torque_task(1.0, seed) for seed in (0, 2)] + tight_tasks(f_max, seed=23)
+        from_other_designs = {}
+        for task in tasks:
+            rejected.clear()
+            for checker in ("lp", "hull"):
+                check = search._make_checker(task, checker)
+                for cfg in designs:
+                    check(cfg)
+                from_other_designs[checker] = from_other_designs.get(checker, 0) + len(rejected)
+                for cfg in designs:
+                    check(cfg)
+            assert rejected
+            for A in rejected.values():
+                assert not lp.satisfies_task(A, task, f_max)[0]
+                assert not satisfies_task_hull(A, task, f_max)
+        assert from_other_designs["lp"] > 0 and from_other_designs["hull"] > 0
+
+    @pytest.mark.parametrize("checker", ["lp", "hull"])
+    @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
+    def test_band_keeps_a_design_the_checker_accepts(self, checker, f_max, monkeypatch):
+        # The task lies half the checker's tolerance beyond the L tromino's
+        # wrench set, so the checker accepts the L.  A cached normal that
+        # supports the L right there must not reject it.
+        L = make_config(L_TROMINO, f_max=f_max)
+        A = configuration_matrix(L)
+        lam, W = capacity_along(A, f_max, np.random.default_rng(29))
+        module, name = (lp, "separating_normal") if checker == "lp" else (hull, "separating_normal_hull")
+        separate = getattr(module, name)
+        tol = lp.BOUNDARY_TOL if checker == "lp" else hull.GEOMETRY_TOL
+        tol *= f_max * np.linalg.norm(A, axis=0).max()
+        task = (lam + 0.5 * tol)[:, None] * W
+        assert separate(A, task, f_max) is None
+        _, normal = separate(A, (1 + 1e-6) * task, f_max)
+        check = search._make_checker(task, checker)
+        monkeypatch.setattr(module, name, lambda *args: (0, normal))
+        assert not check(make_config({(0, 0)}, f_max=f_max))  # caches the normal
+        monkeypatch.setattr(module, name, separate)
+        assert check(L)
+
+    @pytest.mark.parametrize("checker", ["lp", "hull"])
+    def test_results_equal_without_the_cache(self, checker, monkeypatch):
+        # Each checker gets a satisfied and an unsatisfied exhaustive search
+        # in which the cache rejects designs.  The hull route stops at 3
+        # modules, with 40% less lift, to keep its builds off the clock.
+        if checker == "lp":
+            tasks, n_max = [torque_task(0.6, 2), torque_task(1.0, 2)], 3
+        else:
+            tasks, n_max = [torque_task(t, 3) * [1, 1, 0.6, 1, 1, 1] for t in (0.3, 1.0)], 2
+        hits = []
+        rejects = search._SeparatingNormals.rejects
+
+        def spy(self, *args):
+            hits.append(rejects(self, *args))
+            return hits[-1]
+
+        monkeypatch.setattr(search._SeparatingNormals, "rejects", spy)
+        cached = run_both(tasks, checker, n_max)
+        assert any(hits)
+        monkeypatch.setattr(search._SeparatingNormals, "add", lambda self, normal: None)
+        uncached = run_both(tasks, checker, n_max)
+        for (ea, ha), (eb, hb) in zip(cached, uncached):
+            assert same_result(ea, eb) and same_result(ha, hb)

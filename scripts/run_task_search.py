@@ -34,6 +34,8 @@ def main():
                              "such tasks are typically unsatisfiable)")
     parser.add_argument("--out-dir", default="experiment_out")
     args = parser.parse_args()
+    if args.n_max < 0:
+        parser.error(f"--n-max must be nonnegative, got {args.n_max}")
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ from .allocation import (
     min_norm_allocation,
     truncate_input,
 )
-from .geometry import Tolerances, cross, rotation_about_axis, wrench
+from .geometry import cross, rotation_about_axis, wrench
 from .hull import (
     CapacityError,
     VertexHull,

@@ -3,7 +3,8 @@
 Subcommands: matrix, check, search, hull, gen-task, allocate.  Exit codes
 are stable API: 0 success/satisfied, 1 unsatisfied/saturated/no result
 within budget, 2 parse error, 3 invalid structure, 4 non-centrosymmetric
-seed for the heuristic search, 5 capacity exceeded.
+seed for the heuristic search, 5 capacity exceeded (a hull too large to
+build or export, or a search level of too many cells).
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ def cmd_allocate(args) -> int:
     return EXIT_OK if ok else EXIT_UNSATISFIED
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modwrench",
@@ -132,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
     p.add_argument("task")
     p.add_argument("--method", choices=("exhaustive", "heuristic"), default="exhaustive")
-    p.add_argument("--n-max", type=int, default=7, dest="n_max")
+    p.add_argument("--n-max", type=_nonnegative_int, default=7, dest="n_max")
     p.add_argument("--checker", choices=("lp", "hull"), default="lp")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)

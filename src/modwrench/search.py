@@ -6,6 +6,15 @@ a centrosymmetric variant that docks module pairs mirrored through the
 center of mass, keeping the COM fixed and torque balance automatic at the
 cost of only reaching odd module counts from a single-module seed.
 
+Both are one level loop over one growth function.  `_grow` adds a free
+neighbour cell to every design of a level, and with a center also its
+point reflection, on sorted tuples of integer cells; a neighbour of a
+connected set stays connected, so no design is validated until it is
+checked.  Levels are grown lazily, one step (1 or 2 modules) at a time,
+and no further than the search goes.  A level of more than
+MAX_LEVEL_CELLS cells, summed over its designs, raises hull.CapacityError
+rather than exhaust memory.
+
 Both searches skip whole levels with a force-only module-count bound.  All
 modules share one orientation, so the force rows of every n-module design
 are one module's 3 x 4 force block F1 repeated n times, and its force set
@@ -13,8 +22,8 @@ is n Z(F1) whatever the layout, Z(F1) being the zonotope of F1 under the
 thrust box.  One facet test of the task forces against Z(F1) gives the
 fewest modules that can hold them; a level with fewer modules is skipped
 without a matrix build or a check.  Skipped designs still count in
-`evaluations`, and levels are still grown, so the counts and result files
-are the same as with every design checked.
+`evaluations`, and skipped levels are still grown, so the counts and result
+files are the same as with every design checked.
 
 On a task of two or more wrenches, each search also keeps the unit
 normals that separated a failing wrench from the wrench set of a design it
@@ -28,28 +37,33 @@ ARK 2010, for the support-function form of the facets).  Such a design
 would fail its check anyway, so `evaluations` and the results do not
 change.
 
-Designs are deduplicated by their translation-canonical cell form; all
-iteration orders are sorted, so results are deterministic.
+Designs are deduplicated by their translation-canonical cell form and
+represented by their smallest absolute placement; all iteration orders are
+sorted, so results are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import hull, lp
 from .structures import (
+    DIRECTIONS,
     ModuleParams,
     StructureConfig,
     StructureError,
-    attachable_surfaces,
-    canonical_form,
+    _canonical_sorted,
     center_of_mass,
     configuration_matrix,
     is_torque_balanced,
-    surface_free_cell,
 )
+
+# Cells, summed over its designs, one search level may hold; memory goes
+# with cells.  From one module, 135,268 designs of 11 cells pass.
+MAX_LEVEL_CELLS = 2 ** 21
 
 
 class AsymmetricSeedError(StructureError):
@@ -192,86 +206,81 @@ def _skip_bound(initial: StructureConfig, task, n_max: int) -> float:
     return force_module_bound(p, task, band)
 
 
+def _grow(level: list, center=None) -> list:
+    """Every design one step larger than a design of `level`, deduplicated.
+
+    `level` holds sorted tuples of integer cells.  Each design gains a free
+    neighbour cell; with `center`, twice the seed COM in cells, it gains the
+    point reflection of that cell too, unless the mirror is the cell itself
+    or occupied.  Translates collapse to the smallest absolute placement,
+    and the result is ordered by canonical form.  Raises hull.CapacityError
+    once the new level passes MAX_LEVEL_CELLS cells in all.
+    """
+    size = len(level[0]) + (1 if center is None else 2)
+    grown = {}
+    for cells in level:
+        occupied = set(cells)
+        for ix, iy in cells:
+            for _, (dx, dy) in DIRECTIONS:
+                cell = (ix + dx, iy + dy)
+                if cell in occupied:
+                    continue
+                added = {cell}
+                if center is not None:
+                    mirror = (center[0] - cell[0], center[1] - cell[1])
+                    if mirror == cell or mirror in occupied:
+                        continue
+                    added.add(mirror)
+                rep = tuple(sorted(occupied | added))
+                key = _canonical_sorted(rep)
+                if key not in grown or rep < grown[key]:
+                    grown[key] = rep
+        if len(grown) * size > MAX_LEVEL_CELLS:
+            raise hull.CapacityError(
+                f"a search level of {size}-module designs holds more than "
+                f"{MAX_LEVEL_CELLS} cells in all")
+    return [grown[key] for key in sorted(grown)]
+
+
+def _levels(seed: StructureConfig, center=None):
+    """The seed's level, then each grown level in turn, lazily."""
+    level = [tuple(seed.sorted_cells())]
+    while True:
+        yield level
+        level = _grow(level, center)
+
+
 def expand_one(config: StructureConfig) -> list[StructureConfig]:
     """All designs adding one module on an attachable surface, deduplicated.
 
     Children that are translates of each other collapse to one; the list is
     ordered by canonical form.
     """
-    children = _expand_level({config.canonical(): tuple(sorted(config.cells))}, config.params)
-    return [StructureConfig(frozenset(children[k]), config.params)
-            for k in sorted(children)]
-
-
-def _expand_level(level: dict, params) -> dict:
-    """Grow every design of a level by one module; dedup across the level.
-
-    `level` maps canonical forms to absolute cell tuples; representatives
-    keep the lexicographically smallest absolute placement.
-    """
-    nxt = {}
-    for key in sorted(level):
-        config = StructureConfig(frozenset(level[key]), params)
-        for surface in attachable_surfaces(config):
-            cells = set(config.cells)
-            cells.add(surface_free_cell(surface))
-            ck = canonical_form(cells)
-            rep = tuple(sorted(cells))
-            if ck not in nxt or rep < nxt[ck]:
-                nxt[ck] = rep
-    return nxt
-
-
-def exhaustive_search(initial: StructureConfig, task, opts: SearchOptions | None = None) -> SearchResult:
-    """Breadth-first search over all connected growths of the initial design.
-
-    Levels are indexed by the number of added modules; within a level the
-    designs are checked in canonical order and the first satisfying one is
-    returned, so the result has the smallest reachable module count.
-    Levels below the force-only bound are counted but not checked.
-    """
-    opts = opts or SearchOptions()
-    A0 = configuration_matrix(initial)
-    if not is_torque_balanced(A0):
-        raise StructureError("initial design must be torque-balanced")
-    check = _make_checker(task, opts.checker)
-    bound = _skip_bound(initial, task, opts.n_max)
-    com0 = center_of_mass(initial)
-    evaluations = 0
-    level = {initial.canonical(): tuple(sorted(initial.cells))}
-    for added in range(opts.n_max + 1):
-        if initial.n_modules + added < bound:
-            evaluations += len(level)
-        else:
-            for key in sorted(level):
-                config = StructureConfig(frozenset(level[key]), initial.params)
-                evaluations += 1
-                if check(config):
-                    return SearchResult(config, config.n_modules, evaluations, True,
-                                        center_of_mass(config) - com0)
-        if added < opts.n_max:
-            level = _expand_level(level, initial.params)
-    return SearchResult(initial, initial.n_modules, evaluations, False, np.zeros(3))
+    return [StructureConfig(frozenset(cells), config.params)
+            for cells in _grow([tuple(config.sorted_cells())])]
 
 
 def _reflection_center(config: StructureConfig):
-    """Twice the mean cell index, or None when it is not a lattice point."""
-    cells = config.sorted_cells()
-    sx = 2.0 * sum(c[0] for c in cells) / len(cells)
-    sy = 2.0 * sum(c[1] for c in cells) / len(cells)
-    if abs(sx - round(sx)) > 1e-9 or abs(sy - round(sy)) > 1e-9:
+    """Twice the COM in cells if the cell set maps to itself through the COM, else None."""
+    cells, n = config.cells, config.n_modules
+    sx, sy = (2 * sum(c[k] for c in cells) for k in (0, 1))
+    if sx % n or sy % n:
         return None
-    return int(round(sx)), int(round(sy))
+    sx, sy = sx // n, sy // n
+    return (sx, sy) if all((sx - ix, sy - iy) in cells for ix, iy in cells) else None
 
 
 def is_centrosymmetric(config: StructureConfig) -> bool:
     """True iff the cell set maps to itself under point reflection through its COM."""
-    center = _reflection_center(config)
+    return _reflection_center(config) is not None
+
+
+def _symmetry_center(seed: StructureConfig):
+    """_reflection_center of a seed; AsymmetricSeedError when there is none."""
+    center = _reflection_center(seed)
     if center is None:
-        return False
-    sx, sy = center
-    cells = config.cells
-    return all((sx - ix, sy - iy) in cells for ix, iy in cells)
+        raise AsymmetricSeedError("seed cell set must be centrosymmetric about its COM")
+    return center
 
 
 def generate_config_symmetry(seed: StructureConfig, n_levels: int) -> list[list[StructureConfig]]:
@@ -283,61 +292,58 @@ def generate_config_symmetry(seed: StructureConfig, n_levels: int) -> list[list[
     Pairs whose mirror cell is occupied or coincides with the primary cell
     are skipped.  Every emitted design keeps the seed's center of mass.
     """
-    if not is_centrosymmetric(seed):
-        raise AsymmetricSeedError("seed cell set must be centrosymmetric about its COM")
-    sx, sy = _reflection_center(seed)
-    levels: list[list[StructureConfig]] = []
-    current = {seed.canonical(): tuple(sorted(seed.cells))}
-    for _ in range(n_levels):
-        nxt = {}
-        for key in sorted(current):
-            config = StructureConfig(frozenset(current[key]), seed.params)
-            for surface in attachable_surfaces(config):
-                cell = surface_free_cell(surface)
-                mirror = (sx - cell[0], sy - cell[1])
-                if mirror == cell or mirror in config.cells:
-                    continue
-                cells = set(config.cells)
-                cells.update((cell, mirror))
-                ck = canonical_form(cells)
-                if ck not in nxt:
-                    nxt[ck] = tuple(sorted(cells))
-        levels.append([StructureConfig(frozenset(nxt[k]), seed.params)
-                       for k in sorted(nxt)])
-        current = nxt
-    return levels
+    levels = islice(_levels(seed, _symmetry_center(seed)), 1, n_levels + 1)
+    return [[StructureConfig(frozenset(cells), seed.params) for cells in level]
+            for level in levels]
+
+
+def _search(initial: StructureConfig, task, opts: SearchOptions, symmetric: bool) -> SearchResult:
+    """The level loop of both searches.
+
+    Levels are indexed by the number of added modules, one per level, or
+    one mirrored pair per level when `symmetric`; they are explored while
+    that number stays within opts.n_max.  Within a level the designs are
+    checked in canonical order and the first satisfying one is returned, so
+    the result has the smallest reachable module count.  Levels below the
+    force-only bound are counted but not checked.
+    """
+    if not is_torque_balanced(configuration_matrix(initial)):
+        raise StructureError("initial design must be torque-balanced")
+    center = _symmetry_center(initial) if symmetric else None
+    check = _make_checker(task, opts.checker)
+    bound = _skip_bound(initial, task, opts.n_max)
+    com0 = center_of_mass(initial)
+    evaluations = 0
+    added = range(0, opts.n_max + 1, 2 if symmetric else 1)
+    for n_added, level in zip(added, _levels(initial, center)):
+        if initial.n_modules + n_added < bound:
+            evaluations += len(level)
+            continue
+        for cells in level:
+            config = StructureConfig(frozenset(cells), initial.params)
+            evaluations += 1
+            if check(config):
+                return SearchResult(config, config.n_modules, evaluations, True,
+                                    center_of_mass(config) - com0)
+    return SearchResult(initial, initial.n_modules, evaluations, False, np.zeros(3))
+
+
+def exhaustive_search(initial: StructureConfig, task, opts: SearchOptions | None = None) -> SearchResult:
+    """Breadth-first search over all connected growths of the initial design.
+
+    The result has the smallest module count reachable within opts.n_max
+    added modules.
+    """
+    return _search(initial, task, opts or SearchOptions(), symmetric=False)
 
 
 def heuristic_search(initial: StructureConfig, task, opts: SearchOptions | None = None) -> SearchResult:
     """Search over centrosymmetric growths only; module count grows by 2 per level.
 
     The budget semantics match the exhaustive search: levels are explored
-    while the number of added modules stays within n_max.  Levels below the
-    force-only bound are counted but not checked.
+    while the number of added modules stays within n_max.
     """
-    opts = opts or SearchOptions()
-    A0 = configuration_matrix(initial)
-    if not is_torque_balanced(A0):
-        raise StructureError("initial design must be torque-balanced")
-    if not is_centrosymmetric(initial):
-        raise AsymmetricSeedError("seed cell set must be centrosymmetric about its COM")
-    check = _make_checker(task, opts.checker)
-    bound = _skip_bound(initial, task, opts.n_max)
-    com0 = center_of_mass(initial)
-    evaluations = 1
-    if initial.n_modules >= bound and check(initial):
-        return SearchResult(initial, initial.n_modules, evaluations, True, np.zeros(3))
-    n_levels = opts.n_max // 2
-    for k, level in enumerate(generate_config_symmetry(initial, n_levels), start=1):
-        if initial.n_modules + 2 * k < bound:
-            evaluations += len(level)
-            continue
-        for config in level:
-            evaluations += 1
-            if check(config):
-                return SearchResult(config, config.n_modules, evaluations, True,
-                                    center_of_mass(config) - com0)
-    return SearchResult(initial, initial.n_modules, evaluations, False, np.zeros(3))
+    return _search(initial, task, opts or SearchOptions(), symmetric=True)
 
 
 def run_search(initial: StructureConfig, task, opts: SearchOptions) -> SearchResult:

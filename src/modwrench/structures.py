@@ -27,7 +27,6 @@ SPIN_SIGNS = (1, -1, 1, -1)
 
 # Attachable-face directions in canonical order.
 DIRECTIONS = (("+x", (1, 0)), ("-x", (-1, 0)), ("+y", (0, 1)), ("-y", (0, -1)))
-_DIR_STEP = dict(DIRECTIONS)
 
 
 class StructureError(ValueError):
@@ -109,12 +108,20 @@ def is_connected(cells) -> bool:
 
 def canonical_form(cells) -> tuple:
     """Cells translated so min x = min y = 0, sorted; equal iff sets are translates."""
-    cells = list(_as_cells(cells))
+    cells = tuple(sorted(_as_cells(cells)))
     if not cells:
         raise StructureError("cell set must be nonempty")
-    x0 = min(c[0] for c in cells)
-    y0 = min(c[1] for c in cells)
-    return tuple(sorted((c[0] - x0, c[1] - y0) for c in cells))
+    return _canonical_sorted(cells)
+
+
+def _canonical_sorted(cells: tuple) -> tuple:
+    """canonical_form of a nonempty sorted tuple of integer cells, unchecked.
+
+    A translation keeps the order, so the result needs no sort.
+    """
+    x0 = cells[0][0]
+    y0 = min(y for _, y in cells)
+    return tuple((x - x0, y - y0) for x, y in cells)
 
 
 @dataclass(frozen=True)
@@ -158,8 +165,6 @@ def module_rotor_layout(params: ModuleParams) -> list[RotorSpec]:
     Rotor j sits at arm_length * d_j on the diagonals d_1..d_4, tilted about
     its own diagonal by eta, -eta, eta, -eta; spin signs alternate +,-,+,-.
     """
-    if not isinstance(params, ModuleParams):
-        params = ModuleParams(*params)
     rotors = []
     for j in range(4):
         axis = ROTOR_DIAGONALS[j]
@@ -229,9 +234,3 @@ def attachable_surfaces(config: StructureConfig) -> list[tuple[tuple[int, int], 
                 out.append((cell, name))
     return out
 
-
-def surface_free_cell(surface: tuple[tuple[int, int], str]) -> tuple[int, int]:
-    """The unoccupied lattice cell adjacent to an attachable surface."""
-    (ix, iy), name = surface
-    dx, dy = _DIR_STEP[name]
-    return (ix + dx, iy + dy)

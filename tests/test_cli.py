@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from modwrench import search
 from modwrench.cli import main
 from modwrench.fileio import read_hull_vertices, read_search_result, read_task, write_structure, write_task
 from modwrench.hull import enumerate_binary_images, prune_redundant
@@ -97,6 +98,19 @@ class TestSearch:
     def test_budget_zero_unsatisfiable_exits_1(self, single_module_file, tmp_path):
         task = write_task_file(tmp_path, [[0, 0, 3.0, 0, 0, 0]])
         assert main(["search", single_module_file, task, "--n-max", "0"]) == 1
+
+    def test_negative_budget_exits_2(self, single_module_file, tmp_path):
+        task = write_task_file(tmp_path, [[0, 0, 3.0, 0, 0, 0]])
+        proc = subprocess.run([sys.executable, "-m", "modwrench", "search", single_module_file,
+                               task, "--n-max", "-1"], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "--n-max" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_level_limit_exits_5(self, single_module_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(search, "MAX_LEVEL_CELLS", 100)
+        task = write_task_file(tmp_path, [[0, 0, -1.0, 0, 0, 0]])
+        assert main(["search", single_module_file, task, "--n-max", "5"]) == 5
+        assert "100 cells" in capsys.readouterr().err
 
     def test_heuristic_requires_symmetric_seed(self, tmp_path):
         seed = tmp_path / "l.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from modwrench.search import (
     run_search,
 )
 from modwrench.structures import (
+    DIRECTIONS,
     ModuleParams,
     StructureConfig,
     attachable_surfaces,
@@ -26,10 +28,10 @@ from modwrench.structures import (
     center_of_mass,
     configuration_matrix,
     is_torque_balanced,
-    surface_free_cell,
 )
 
 SQRT2 = np.sqrt(2.0)
+L_TROMINO = {(0, 0), (1, 0), (0, 1)}
 
 
 def make_config(cells, **params):
@@ -43,10 +45,9 @@ def z_task(fz):
 def dedup_oracle(config):
     """Reference child count: grow on every surface, quotient by translation."""
     keys = set()
-    for surface in attachable_surfaces(config):
-        cells = set(config.cells)
-        cells.add(surface_free_cell(surface))
-        keys.add(canonical_form(cells))
+    for (ix, iy), name in attachable_surfaces(config):
+        dx, dy = dict(DIRECTIONS)[name]
+        keys.add(canonical_form(config.cells | {(ix + dx, iy + dy)}))
     return keys
 
 
@@ -158,6 +159,74 @@ class TestSymmetryGenerator:
         lshape = make_config({(0, 0), (1, 0), (0, 1)})
         with pytest.raises(AsymmetricSeedError):
             generate_config_symmetry(lshape, 1)
+
+
+def grown_levels(seed, count, center=None):
+    """The first `count` levels grown from a seed cell set, as sorted cell tuples."""
+    level, levels = [tuple(sorted(seed))], []
+    for _ in range(count):
+        level = search._grow(level, center)
+        levels.append(level)
+    return levels
+
+
+def level_digest(levels):
+    return hashlib.sha256(repr(levels).encode()).hexdigest()
+
+
+class TestGrowth:
+    # The representatives set the result bytes, and the golden files cover
+    # only the default experiment.  The digests hash the absolute cells of
+    # every representative of every level, as the two growth loops that
+    # `_grow` replaced produced them.
+
+    def test_level_sizes_count_fixed_polyominoes(self):
+        # OEIS A001168: fixed polyominoes of n cells, n = 1 .. 8.
+        sizes = [1] + [len(level) for level in grown_levels({(0, 0)}, 7)]
+        assert sizes == [1, 2, 6, 19, 63, 216, 760, 2725]
+
+    @pytest.mark.parametrize("seed, digest", [
+        ({(0, 0)}, "0490f4511b99611b3a34952b698395ee9c9f9710d64c9ae7576b476a2f68c2a8"),
+        (L_TROMINO, "f2dbda97b5df24daf431bf827e8138d2bf91f97cc2cd7d609be402e4e2ffb81f"),
+        ({(5, 7), (5, 8)}, "c7b5dedabd6d39f5e7f5798dd16f966e56f52e72f854a04dbd4abac23b7d255e"),
+    ])
+    def test_exhaustive_levels_pinned(self, seed, digest):
+        assert level_digest(grown_levels(seed, 6)) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        ({(0, 0)}, "6a3360ef4080724db2377fe1b8bc6d8f1975c9df10412a7c4d39e63de961b367"),
+        ({(0, 0), (1, 0), (2, 0)}, "ea9f9d7fbbecf28749ea687052457a90a1e8464d533828f4edcbac6a884670d7"),
+        ({(0, 0), (1, 0), (0, 1), (1, 1)}, "da7363da24dd4637504fc074b27b3bc3f5527a557bfb6af12bde2d054e8f0d6d"),
+        ({(0, 0), (1, 0)}, "894696473f34f7045a878f4147f9bc4826afb3872b4848f09b916aaaae077f5e"),
+        ({(3, -2)}, "bbb9f6db99d005c0f9a099bb752459645089dc96178fff265310c57d674e00b1"),
+    ])
+    def test_symmetric_levels_pinned(self, seed, digest):
+        levels = generate_config_symmetry(make_config(seed), 5)
+        assert level_digest([[tuple(c.sorted_cells()) for c in level] for level in levels]) == digest
+
+    def test_oversized_level_raises_on_both_searches(self, monkeypatch):
+        # The upward-only rotors cannot push down, so every level is skipped
+        # and grown.  Cells per level: 63 x 5 = 315, then 216 x 6 = 1,296;
+        # symmetric 86 x 9 = 774, then 316 x 11 = 3,476.  A 40-cell bar
+        # grows 81 designs of 41 cells, 3,321 cells, in one level.
+        monkeypatch.setattr(search, "MAX_LEVEL_CELLS", 1000)
+        seed, task = make_config({(0, 0)}), z_task(-1.0)
+        assert exhaustive_search(seed, task, SearchOptions(n_max=4)).evaluations == 91
+        with pytest.raises(hull.CapacityError):
+            exhaustive_search(seed, task, SearchOptions(n_max=5))
+        assert heuristic_search(seed, task, SearchOptions(n_max=9)).evaluations == 120
+        with pytest.raises(hull.CapacityError):
+            heuristic_search(seed, task, SearchOptions(n_max=10))
+        with pytest.raises(hull.CapacityError):
+            exhaustive_search(make_config({(x, 0) for x in range(40)}), task, SearchOptions(n_max=1))
+
+    def test_levels_past_the_answer_are_not_grown(self, monkeypatch):
+        # Both answers lie within one level; the next levels, 6 x 3 and
+        # 7 x 5 cells, would pass the limit.
+        monkeypatch.setattr(search, "MAX_LEVEL_CELLS", 10)
+        seed = make_config({(0, 0)})
+        assert exhaustive_search(seed, z_task(3.0), SearchOptions(n_max=8)).modules_total == 2
+        assert heuristic_search(seed, z_task(3.0), SearchOptions(n_max=8)).modules_total == 3
 
 
 class TestHeuristic:
@@ -377,8 +446,6 @@ def capacity_along(A, f_max, rng):
     assert (lam > 0).all()
     return lam, W
 
-
-L_TROMINO = {(0, 0), (1, 0), (0, 1)}
 
 
 def tight_tasks(f_max, seed):

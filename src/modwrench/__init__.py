@@ -20,13 +20,10 @@ from .hull import (
     satisfies_task_hull,
 )
 from .lp import (
-    LpProblem,
-    LpSolution,
     max_force_zero_torque,
     max_lambda,
     satisfies_task,
     satisfies_wrench,
-    solve_lp,
 )
 from .search import (
     AsymmetricSeedError,

@@ -2,7 +2,8 @@
 
 Subcommands: matrix, check, search, hull, gen-task, allocate.  Exit codes
 are stable API: 0 success/satisfied, 1 unsatisfied/saturated/no result
-within budget, 2 parse error, 3 invalid structure, 4 non-centrosymmetric
+within budget, 2 parse error (a malformed file or argument, or a file that
+cannot be read or written), 3 invalid structure, 4 non-centrosymmetric
 seed for the heuristic search, 5 capacity exceeded (a hull too large to
 build or export, or a search level of too many cells).
 """
@@ -10,6 +11,7 @@ build or export, or a search level of too many cells).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import allocation, fileio, hull, lp, search
@@ -112,14 +114,23 @@ def cmd_allocate(args) -> int:
     return EXIT_OK if ok else EXIT_UNSATISFIED
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+def _checked(kind, accept, what):
+    """argparse type: `kind` of the text, rejected with `what` unless `accept` holds."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hull)
 
     p = sub.add_parser("gen-task", help="generate a seeded random task file")
-    p.add_argument("--count", type=int, default=80)
-    p.add_argument("--half-range", type=float, default=0.5, dest="half_range")
+    p.add_argument("--count", type=_positive_int, default=80)
+    p.add_argument("--half-range", type=_positive_float, default=0.5, dest="half_range")
     p.add_argument("--fz-scale", type=float, default=30.0, dest="fz_scale")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -188,6 +199,9 @@ def main(argv=None) -> int:
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -1,27 +1,29 @@
 """Linear programming over box-bounded variables with a few equality rows.
 
-The solver is a dense two-phase revised simplex specialised for the problem
-class used throughout this package: at most a handful of equality rows,
-finite lower bounds, optional finite upper bounds.  Entering variables are
-priced by steepest reduced cost, with an automatic switch to Bland's
-smallest-index rule after a run of degenerate pivots, so every solve is
-deterministic and termination is guaranteed.
+The solver, `_simplex`, is a dense bounded-variable revised simplex
+specialised for the problem class used throughout this package: a few
+equality rows, finite lower bounds, optional finite upper bounds.
+Entering variables are priced by steepest reduced cost, with an automatic
+switch to Bland's smallest-index rule after a run of degenerate pivots, so
+every solve is deterministic and termination is guaranteed (Bertsimas &
+Tsitsiklis, Introduction to Linear Optimization, ch. 3).
 
 On top of the solver sit the wrench-satisfiability queries: the maximum
 achievable magnitude along a wrench direction under the thrust box, the
 per-wrench and per-task verdicts, and the zero-torque force variant.
 
-A task of several wrenches is checked in one batched solve,
-`max_lambda_many`.  Each wrench direction gets its own simplex over the same
-columns, started from u = 0, lambda = 0 with one artificial per row basic
-at 0 and pinned to [0, 0]; that point is feasible, so there is no phase 1.
-The K bases and their inverses are held as stacked arrays and every pivot
-is one numpy step across the batch, with B^-1 kept by rank-one (eta)
-updates and refactored from the basis columns every _REFACTOR_EVERY pivots
-(Bertsimas & Tsitsiklis, Introduction to Linear Optimization, ch. 3).
-Pricing, the switch to Bland's rule and the iteration bound follow
-`_simplex`.  A one-wrench task takes the scalar route, which is faster
-for a single direction.
+Every lambda query starts feasible: max lambda s.t. A u - lambda w + a = 0,
+u in [0, f_max], lambda >= 0 and one artificial a per row pinned to [0, 0]
+holds at u = 0, lambda = 0 with the artificials basic, so there is no
+phase 1.  Two phases are used only behind `equality_feasibility`.
+`max_lambda` solves one direction from that start with `_simplex`.  A task
+of several wrenches is checked in one batched solve, `max_lambda_many`,
+with the same start, pricing and switch to Bland's rule: each wrench gets
+its own simplex over the same columns, the K bases and their inverses are
+stacked, and every pivot is one numpy step across the batch, with B^-1
+kept by rank-one (eta) updates and refactored from the basis columns every
+_REFACTOR_EVERY pivots.  A one-wrench task takes the scalar route, which
+is faster for a single direction.
 
 A search needs only to know whether some wrench fails, and how.
 `separating_normal` runs the same batch but stops it at the first problem
@@ -35,8 +37,6 @@ solves, since `check` prints every verdict.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,52 +59,6 @@ _PIVOT_TOL = 1e-10
 _REFACTOR_EVERY = 32
 
 
-@dataclass
-class LpProblem:
-    """maximize objective @ x  s.t.  eq_matrix @ x = eq_rhs,  lower <= x <= upper.
-
-    Lower bounds must be finite; upper bounds may be +inf.
-    """
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def validated(self) -> "LpProblem":
-        c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        A = np.asarray(self.eq_matrix, dtype=float)
-        if A.size == 0:
-            A = A.reshape(0, c.size)
-        if A.ndim != 2:
-            raise ValueError("eq_matrix must be 2-dimensional")
-        b = np.atleast_1d(np.asarray(self.eq_rhs, dtype=float))
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        n = c.size
-        if A.shape[1] != n or b.size != A.shape[0] or lo.size != n or hi.size != n:
-            raise ValueError("inconsistent problem dimensions")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("objective, eq_matrix and eq_rhs must be finite")
-        if not np.all(np.isfinite(lo)):
-            raise ValueError("lower bounds must be finite")
-        if np.any(hi < lo):
-            raise ValueError("upper bounds must not be below lower bounds")
-        return LpProblem(c, A, b, lo, hi)
-
-
-@dataclass
-class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    objective: float | None
-
-
-class _Unbounded(Exception):
-    pass
-
-
 def _simplex(A, b, c, lower, upper, basis, at_upper):
     """Run bounded-variable simplex iterations in place; return basic values.
 
@@ -112,7 +66,7 @@ def _simplex(A, b, c, lower, upper, basis, at_upper):
     variables are priced by steepest reduced cost; after a run of degenerate
     pivots the rule falls back to Bland's smallest-index rule until progress
     resumes, which rules out cycling.  Both rules are deterministic.  Raises
-    _Unbounded when an improving ray has no blocking bound.
+    RuntimeError when an improving ray has no blocking bound.
     """
     m, n = A.shape
     fixed = (upper - lower) <= 0.0
@@ -175,7 +129,7 @@ def _simplex(A, b, c, lower, upper, basis, at_upper):
                 best_row = i
                 best_hit_upper = hit_upper
         if not np.isfinite(best):
-            raise _Unbounded
+            raise RuntimeError("simplex ended unbounded")
         stalled = stalled + 1 if best <= 1e-12 else 0
         if best_row < 0:
             at_upper[j] = not at_upper[j]  # bound flip, basis unchanged
@@ -212,27 +166,6 @@ def _phase1(A, b, lower, upper):
     return residual, x, basis, at_upper, A_ext, lo_ext, hi_ext
 
 
-def solve_lp(problem: LpProblem, feasibility_tol: float = FEASIBILITY_TOL) -> LpSolution:
-    """Solve a validated LpProblem; status is optimal, infeasible or unbounded."""
-    p = problem.validated()
-    m, n = p.eq_matrix.shape
-    residual, _, basis, at_upper, A_ext, lo_ext, hi_ext = _phase1(
-        p.eq_matrix, p.eq_rhs, p.lower, p.upper)
-    if residual > feasibility_tol:
-        return LpSolution("infeasible", None, None)
-    # Pin artificials at zero and optimize the real objective from the
-    # feasible basis phase 1 ends on.
-    hi_ext = hi_ext.copy()
-    hi_ext[n:] = 0.0
-    c2 = np.concatenate([p.objective, np.zeros(2 * m)])
-    try:
-        x = _simplex(A_ext, p.eq_rhs, c2, lo_ext, hi_ext, basis, at_upper)
-    except _Unbounded:
-        return LpSolution("unbounded", None, None)
-    x = x[:n]
-    return LpSolution("optimal", x, float(p.objective @ x))
-
-
 def equality_feasibility(eq_matrix, eq_rhs, lower, upper, want_dual: bool = False):
     """Minimal L1 violation of eq_matrix @ x = eq_rhs over the box, with witness.
 
@@ -258,40 +191,32 @@ def equality_feasibility(eq_matrix, eq_rhs, lower, upper, want_dual: bool = Fals
     return residual, x[:n], y
 
 
-def max_lambda(A, w_hat, f_max: float, tol: float = 1e-9):
+def max_lambda(A, w_hat, f_max: float):
     """Largest magnitude lambda with A @ u = lambda * w_hat, 0 <= u <= f_max.
 
     w_hat must be a unit 6-vector.  Returns (lambda_star, u_star); u = 0 makes
-    lambda = 0 feasible, so lambda_star >= 0 always.
+    lambda = 0 feasible, so lambda_star >= 0 always, and _simplex starts
+    there with one artificial per row basic and pinned to [0, 0].
     """
     A = np.asarray(A, dtype=float)
     w_hat = np.asarray(w_hat, dtype=float)
     if w_hat.shape != (A.shape[0],):
         raise ValueError("direction size must match the wrench dimension")
-    if abs(np.linalg.norm(w_hat) - 1.0) > tol:
+    if abs(np.linalg.norm(w_hat) - 1.0) > 1e-9:
         raise ValueError("direction must have unit norm")
     if not (np.isfinite(f_max) and f_max > 0):
         raise ValueError("f_max must be positive")
     n = A.shape[1]
-    # The rows of a rank-deficient A are dependent, which leaves the simplex
-    # pivoting on round-off.  Solve in an orthonormal basis of range(A)
-    # instead, where a direction off that range is reachable only at 0.
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    basis = U[:, s > RANGE_TOL * s[0]]
-    if basis.shape[1] < A.shape[0]:
-        w_range = basis.T @ w_hat
-        if np.linalg.norm(w_hat - basis @ w_range) > RANGE_TOL:
-            return 0.0, np.zeros(n)
-        A, w_hat = basis.T @ A, w_range
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    eq = np.hstack([A, -w_hat[:, None]])
-    lo = np.zeros(n + 1)
-    hi = np.concatenate([np.full(n, float(f_max)), [np.inf]])
-    sol = solve_lp(LpProblem(c, eq, np.zeros(eq.shape[0]), lo, hi))
-    if sol.status != "optimal":  # u = 0 is always feasible and lambda is bounded
-        raise RuntimeError(f"direction maximization ended {sol.status}")
-    return float(sol.x[-1]), sol.x[:-1]
+    _, A, W, off = _range_coordinates(A, w_hat[None])
+    if np.linalg.norm(off) > RANGE_TOL:
+        return 0.0, np.zeros(n)
+    m = A.shape[0]
+    c = np.zeros(n + 1 + m)
+    c[n] = 1.0
+    upper = np.concatenate([np.full(n, float(f_max)), [np.inf], np.zeros(m)])
+    x = _simplex(np.hstack([A, -W.T, np.eye(m)]), np.zeros(m), c, np.zeros(n + 1 + m), upper,
+                 np.arange(n + 1, n + 1 + m), np.zeros(n + 1 + m, dtype=bool))
+    return float(x[n]), x[:n]
 
 
 def max_lambda_many(A, W_hat, f_max: float):
@@ -318,12 +243,14 @@ def max_lambda_many(A, W_hat, f_max: float):
 
 
 def _range_coordinates(A, W):
-    """max_lambda's projection of A and of every row of W onto range(A).
+    """The projection of A and of every row of W onto range(A), for the lambda queries.
 
-    Returns (Q, A_range, W_range, off).  Q is an orthonormal basis of
-    range(A), or None when A has full row rank and nothing is projected;
-    A_range and W_range are A and W in the coordinates of Q; off holds the
-    part of each row of W off range(A).
+    The rows of a rank-deficient A are dependent, which leaves the simplex
+    pivoting on round-off; in range(A) they are not.  Returns (Q, A_range,
+    W_range, off).  Q is an orthonormal basis of range(A), or None when A
+    has full row rank and nothing is projected; A_range and W_range are A
+    and W in the coordinates of Q; off holds the part of each row of W off
+    range(A).
     """
     Q, s, _ = np.linalg.svd(A, full_matrices=False)
     Q = Q[:, s > RANGE_TOL * s[0]]
@@ -374,8 +301,8 @@ def _max_lambda_batch(A, W, f_max, stop=None):
     active = np.ones(k, dtype=bool)
     lam, U = np.empty(k), np.empty((k, n))
     r = np.arange(k)
-    # _simplex's bound for the phase-1 columns of max_lambda: n + 1 + 2m.
-    max_iter = 2000 + 200 * (n + 1 + 3 * m)
+    # _simplex's bound for the n + 1 + m columns of max_lambda.
+    max_iter = 2000 + 200 * (n + 1 + 2 * m)
     try:
         for it in range(max_iter):
             # Only u can rest at a nonzero bound: lambda has none, the

@@ -34,6 +34,12 @@ def write_task_file(tmp_path, rows, name="task.txt"):
     return str(path)
 
 
+def run_module(*args):
+    """`python -m modwrench` with args, as a subprocess, so a traceback would show."""
+    return subprocess.run([sys.executable, "-m", "modwrench", *args],
+                          capture_output=True, text=True)
+
+
 class TestMatrix:
     def test_flat_module_force_rows(self, flat_module_file, capsys):
         assert main(["matrix", flat_module_file]) == 0
@@ -83,6 +89,11 @@ class TestCheck:
         bad.write_text("1 2 3\n")
         assert main(["check", single_module_file, str(bad)]) == 2
 
+    def test_missing_task_file_exits_2(self, single_module_file, tmp_path):
+        proc = run_module("check", single_module_file, str(tmp_path / "missing.txt"))
+        assert proc.returncode == 2
+        assert "missing.txt" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestSearch:
     def test_zero_task_echoes_initial(self, single_module_file, tmp_path, capsys):
@@ -101,10 +112,15 @@ class TestSearch:
 
     def test_negative_budget_exits_2(self, single_module_file, tmp_path):
         task = write_task_file(tmp_path, [[0, 0, 3.0, 0, 0, 0]])
-        proc = subprocess.run([sys.executable, "-m", "modwrench", "search", single_module_file,
-                               task, "--n-max", "-1"], capture_output=True, text=True)
+        proc = run_module("search", single_module_file, task, "--n-max", "-1")
         assert proc.returncode == 2
         assert "--n-max" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_missing_structure_file_exits_2(self, tmp_path):
+        task = write_task_file(tmp_path, [[0, 0, 3.0, 0, 0, 0]])
+        proc = run_module("search", str(tmp_path / "missing.txt"), task)
+        assert proc.returncode == 2
+        assert "missing.txt" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_level_limit_exits_5(self, single_module_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(search, "MAX_LEVEL_CELLS", 100)
@@ -197,6 +213,22 @@ class TestGenTask:
         out = tmp_path / "t.txt"
         assert main(["gen-task", "--count", "1", "--seed", "0", "--out", str(out)]) == 0
         assert read_task(out).shape == (1, 6)
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        out = tmp_path / "none" / "t.txt"
+        proc = run_module("gen-task", "--out", str(out))
+        assert proc.returncode == 2
+        assert "none" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("option, value", [("--count", "0"), ("--count", "-2"),
+                                               ("--half-range", "-1"), ("--half-range", "inf")])
+    def test_invalid_value_exits_2(self, option, value, tmp_path):
+        out = tmp_path / "t.txt"
+        proc = run_module("gen-task", option, value, "--out", str(out))
+        assert proc.returncode == 2
+        assert option in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestAllocate:

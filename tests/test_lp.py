@@ -5,7 +5,6 @@ from scipy.optimize import linprog
 from modwrench import lp as lp_module
 from modwrench.hull import enumerate_binary_images
 from modwrench.lp import (
-    LpProblem,
     equality_feasibility,
     max_force_zero_torque,
     max_lambda,
@@ -13,7 +12,6 @@ from modwrench.lp import (
     satisfies_task,
     satisfies_wrench,
     separating_normal,
-    solve_lp,
     task_verdicts,
 )
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
@@ -26,69 +24,7 @@ def single_module_matrix(eta=np.pi / 4, c_tau=0.01):
     return configuration_matrix(cfg)
 
 
-class TestSolveLp:
-    def test_box_only(self):
-        sol = solve_lp(LpProblem(np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
-                                 np.array([0.0]), np.array([1.0])))
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(1.0)
-        assert sol.x[0] == pytest.approx(1.0)
-
-    def test_coupled_maximum(self):
-        sol = solve_lp(LpProblem(np.array([1.0, 1.0]), np.array([[1.0, -1.0]]),
-                                 np.array([0.0]), np.zeros(2), np.ones(2)))
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(2.0)
-        assert np.allclose(sol.x, [1.0, 1.0])
-
-    def test_infeasible(self):
-        sol = solve_lp(LpProblem(np.array([1.0]), np.array([[0.0]]), np.array([1.0]),
-                                 np.array([0.0]), np.array([1.0])))
-        assert sol.status == "infeasible"
-
-    def test_unbounded(self):
-        sol = solve_lp(LpProblem(np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
-                                 np.array([0.0]), np.array([np.inf])))
-        assert sol.status == "unbounded"
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_lp(LpProblem(np.array([1.0, 2.0]), np.array([[1.0]]),
-                               np.array([0.0]), np.zeros(2), np.ones(2)))
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            solve_lp(LpProblem(np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
-                               np.array([1.0]), np.array([0.0])))
-
-    def test_against_scipy_on_random_problems(self):
-        rng = np.random.default_rng(42)
-        solved = 0
-        for _ in range(120):
-            m = int(rng.integers(1, 6))
-            n = int(rng.integers(m, 12))
-            A = rng.normal(size=(m, n))
-            c = rng.normal(size=n)
-            lo = np.zeros(n)
-            hi = rng.uniform(0.5, 3.0, size=n)
-            # rhs from a random interior point half the time, random otherwise
-            if rng.random() < 0.5:
-                b = A @ (rng.uniform(0, 1, size=n) * hi)
-            else:
-                b = rng.normal(size=m)
-            sol = solve_lp(LpProblem(c, A, b, lo, hi))
-            ref = linprog(-c, A_eq=A, b_eq=b, bounds=list(zip(lo, hi)), method="highs")
-            if ref.status == 2:
-                assert sol.status == "infeasible"
-            else:
-                assert ref.status == 0
-                assert sol.status == "optimal"
-                assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
-                assert np.max(np.abs(A @ sol.x - b)) < 1e-8
-                assert np.all(sol.x >= lo - 1e-9) and np.all(sol.x <= hi + 1e-9)
-                solved += 1
-        assert solved > 20
-
+class TestEqualityFeasibility:
     def test_feasibility_residual_matches_scipy(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
@@ -108,7 +44,45 @@ class TestSolveLp:
                 assert np.max(np.abs(A @ x - b)) < 1e-7
 
 
+def highs_max_lambda(A, w, f_max):
+    """max lambda s.t. A u = lambda w, 0 <= u <= f_max, by scipy's HiGHS."""
+    n = A.shape[1]
+    ref = linprog(np.r_[np.zeros(n), -1.0], A_eq=np.hstack([A, -w[:, None]]),
+                  b_eq=np.zeros(A.shape[0]), bounds=[(0, f_max)] * n + [(0, None)],
+                  method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
 class TestMaxLambda:
+    def test_against_highs(self):
+        # Structures of 1-4 modules (the single module has rank 4, the 1x3
+        # bar rank 5) and random 6 x n matrices, some of rank n < 6; the
+        # directions are random, in range(A), and off range(A).
+        rng = np.random.default_rng(42)
+        shapes = [{(0, 0)}, {(0, 0), (1, 0)}, {(0, 0), (1, 0), (2, 0)}, {(0, 0), (1, 0), (0, 1)},
+                  {(0, 0), (1, 0), (0, 1), (1, 1)}, {(0, 0), (1, 0), (2, 0), (1, 1)}]
+        matrices = [configuration_matrix(StructureConfig(frozenset(c))) for c in shapes]
+        matrices += [rng.normal(size=(6, int(rng.integers(2, 13)))) for _ in range(12)]
+        positive = off_range = 0
+        for A in matrices:
+            n = A.shape[1]
+            f_max = float(rng.uniform(0.5, 3.0))
+            U = np.hstack([rng.uniform(0, 1, size=(n, 2)), rng.uniform(-1, 1, size=(n, 2))])
+            W = np.vstack([rng.normal(size=(4, 6)), (A @ U).T])
+            W[:2, 2] = 4 * np.abs(W[:2, 2])
+            W /= np.linalg.norm(W, axis=1, keepdims=True)
+            scale = f_max * np.linalg.norm(A, axis=0).max()
+            rank = np.linalg.matrix_rank(A)
+            for w in W:
+                lam, u = max_lambda(A, w, f_max)
+                assert lam == pytest.approx(highs_max_lambda(A, w, f_max), abs=1e-7 * scale)
+                assert np.abs(A @ u - lam * w).max() <= 1e-8
+                assert u.min() >= -1e-9 and u.max() <= f_max + 1e-9
+                positive += lam > 0
+                off_range += np.linalg.matrix_rank(np.column_stack([A, w])) > rank
+        assert positive >= 40 and off_range >= 20
+
     def test_vertical_force_bound(self):
         A = single_module_matrix()
         lam, u = max_lambda(A, np.array([0, 0, 1.0, 0, 0, 0]), 1.0)
@@ -288,18 +262,28 @@ class TestMaxLambdaMany:
         assert verdicts.any() and not verdicts.all()
         assert satisfies_task(A, task[verdicts], 1.0) == (True, None)
 
+    @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("cells", BATCH_STRUCTURES, ids=len)
+    def test_scalar_matches_batch(self, cells, f_max):
+        # Same start, same pricing: a batch of one ends on the scalar lambda.
+        A = configuration_matrix(StructureConfig(frozenset(cells), ModuleParams(f_max=f_max)))
+        scale = f_max * np.linalg.norm(A, axis=0).max()
+        task = mixed_task(A, f_max, seed=len(cells))
+        W = np.vstack([task[np.linalg.norm(task, axis=1) > 0],
+                       np.random.default_rng(len(cells)).normal(size=(8, 6))])
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        for w in W:
+            assert abs(max_lambda(A, w, f_max)[0] - max_lambda_many(A, [w], f_max)[0][0]) \
+                <= 1e-12 * scale
+
     def test_one_batch_against_highs(self):
         A = configuration_matrix(StructureConfig(frozenset(BATCH_STRUCTURES[3])))
         W = np.random.default_rng(5).normal(size=(12, 6))
         W[:, 2] = np.abs(W[:, 2]) * 4
         W /= np.linalg.norm(W, axis=1, keepdims=True)
         lam, _ = max_lambda_many(A, W, 1.0)
-        n = A.shape[1]
         for w, got in zip(W, lam):
-            ref = linprog(np.r_[np.zeros(n), -1.0], A_eq=np.hstack([A, -w[:, None]]),
-                          b_eq=np.zeros(6), bounds=[(0, 1)] * n + [(0, None)], method="highs")
-            assert ref.status == 0
-            assert got == pytest.approx(-ref.fun, abs=1e-7)
+            assert got == pytest.approx(highs_max_lambda(A, w, 1.0), abs=1e-7)
 
     def test_rejects_bad_directions(self):
         A = single_module_matrix()

@@ -8,7 +8,7 @@ from .allocation import (
     min_norm_allocation,
     truncate_input,
 )
-from .geometry import cross, rotation_about_axis, wrench
+from .geometry import wrench
 from .hull import (
     CapacityError,
     VertexHull,
@@ -38,18 +38,14 @@ from .search import (
 )
 from .structures import (
     ModuleParams,
-    RotorSpec,
     StructureConfig,
     StructureError,
     attachable_surfaces,
-    build_configuration_matrix,
     canonical_form,
     center_of_mass,
     configuration_matrix,
     is_connected,
     is_torque_balanced,
-    module_rotor_layout,
-    rotor_configuration,
 )
 
 __version__ = "0.1.0"

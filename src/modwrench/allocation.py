@@ -62,10 +62,14 @@ def truncate_input(u, f_max: float):
 
 
 def _fallback_input(A, w, f_max: float):
-    """In-box input reproducing w exactly, when one exists (feasibility LP)."""
+    """In-box input reproducing w exactly, when one exists (feasibility LP).
+
+    The residual is accepted relative to f_max * max|a_i|, so the answer does
+    not change when f_max and w are rescaled together.
+    """
     n = A.shape[1]
     residual, u = lp.equality_feasibility(A, w, np.zeros(n), np.full(n, float(f_max)))
-    if residual <= lp.FEASIBILITY_TOL:
+    if residual <= lp.FEASIBILITY_TOL * f_max * float(np.linalg.norm(A, axis=0).max()):
         return u
     return None
 

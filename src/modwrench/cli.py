@@ -14,6 +14,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import allocation, fileio, hull, lp, search
 from .search import AsymmetricSeedError, SearchOptions
 from .structures import StructureError, configuration_matrix
@@ -108,7 +110,9 @@ def cmd_allocate(args) -> int:
             fh.write(text)
     else:
         print(text, end="")
-    ok = not report.any_saturated and report.max_error <= 1e-6
+    # The error bound is relative to f_max * max|a_i|, like lp's tolerances.
+    scale = config.params.f_max * float(np.linalg.norm(A, axis=0).max())
+    ok = not report.any_saturated and report.max_error <= 1e-6 * scale
     print(f"max_error: {report.max_error:.3e}  saturated: "
           f"{'yes' if report.any_saturated else 'no'}")
     return EXIT_OK if ok else EXIT_UNSATISFIED
@@ -131,6 +135,7 @@ def _checked(kind, accept, what):
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_finite_float = _checked(float, math.isfinite, "a finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-task", help="generate a seeded random task file")
     p.add_argument("--count", type=_positive_int, default=80)
     p.add_argument("--half-range", type=_positive_float, default=0.5, dest="half_range")
-    p.add_argument("--fz-scale", type=float, default=30.0, dest="fz_scale")
+    p.add_argument("--fz-scale", type=_finite_float, default=30.0, dest="fz_scale")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_task)

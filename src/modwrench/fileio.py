@@ -92,9 +92,17 @@ def parse_structure(text: str, name: str = "structure file") -> StructureConfig:
     return StructureConfig(frozenset(cells), ModuleParams(**params))
 
 
+def _read_text(path) -> str:
+    """The file's text; a file that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
 def read_structure(path) -> StructureConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_structure(fh.read(), name=str(path))
+    return parse_structure(_read_text(path), name=str(path))
 
 
 def format_structure(config: StructureConfig) -> str:
@@ -131,8 +139,7 @@ def parse_task(text: str, name: str = "task file") -> np.ndarray:
 
 
 def read_task(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return parse_task(fh.read(), name=str(path))
+    return parse_task(_read_text(path), name=str(path))
 
 
 def format_task(task: np.ndarray) -> str:
@@ -168,8 +175,7 @@ def write_search_result(path, result: SearchResult, method: str, checker: str) -
 
 def read_search_result(path):
     """Parse a search-result file back into (metadata dict, StructureConfig)."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     meta = {}
     for raw in text.splitlines():
         m = re.match(r"^#\s*(\w+)\s*=\s*(.+)$", raw.strip())
@@ -198,8 +204,7 @@ def write_hull(path, hull: WrenchHull, n_modules: int, f_max: float, eta: float)
 
 def read_hull_vertices(path) -> np.ndarray:
     """Vertex rows of a hull file (metadata comments are skipped)."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_task(fh.read(), name=str(path))
+    return parse_task(_read_text(path), name=str(path))
 
 
 def format_allocation_report(report: AllocationReport) -> str:

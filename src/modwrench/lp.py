@@ -46,7 +46,7 @@ import numpy as np
 BOUNDARY_TOL = 1e-9
 # Wrenches below this norm are treated as the zero wrench.
 ZERO_WRENCH_TOL = 1e-12
-# Equality-constraint residual accepted as feasible.
+# Equality-constraint residual accepted as feasible, per unit of system size.
 FEASIBILITY_TOL = 1e-8
 # Relative singular-value cut for the rank of A, and the off-range residual
 # of a unit direction beyond which it is unreachable.
@@ -148,8 +148,8 @@ def _phase1(A, b, lower, upper):
 
     Each row gets a +1 and a -1 artificial slack so violations in either
     direction can be absorbed; the minimum of their sum is the true L1
-    residual.  Returns (residual, x_ext, basis, at_upper, extended arrays)
-    where the last 2m entries of x_ext are the artificials.
+    residual.  Returns (residual, x_ext, basis, A_ext), where the last 2m
+    entries of x_ext are the artificials and A_ext = [A | I | -I].
     """
     m, n = A.shape
     resid = b - A @ lower
@@ -163,7 +163,7 @@ def _phase1(A, b, lower, upper):
     at_upper = np.zeros(n + 2 * m, dtype=bool)
     x = _simplex(A_ext, b, c1, lo_ext, hi_ext, basis, at_upper)
     residual = max(float(np.sum(x[n:])), 0.0)
-    return residual, x, basis, at_upper, A_ext, lo_ext, hi_ext
+    return residual, x, basis, A_ext
 
 
 def equality_feasibility(eq_matrix, eq_rhs, lower, upper, want_dual: bool = False):
@@ -171,14 +171,14 @@ def equality_feasibility(eq_matrix, eq_rhs, lower, upper, want_dual: bool = Fals
 
     Returns (residual, x), or (residual, x, y) with the final dual vector
     when `want_dual` is set (used for pricing in column generation).
-    residual <= FEASIBILITY_TOL means the system is feasible and x is a
-    feasible point (up to that tolerance).
+    A residual within FEASIBILITY_TOL of the system's size means the system
+    is feasible and x is a feasible point (up to that tolerance).
     """
     A = np.asarray(eq_matrix, dtype=float)
     b = np.asarray(eq_rhs, dtype=float)
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
-    residual, x, basis, _, A_ext, *_ = _phase1(A, b, lo, hi)
+    residual, x, basis, A_ext = _phase1(A, b, lo, hi)
     n = A.shape[1]
     if not want_dual:
         return residual, x[:n]

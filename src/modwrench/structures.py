@@ -4,6 +4,18 @@ A structure is a 4-connected set of lattice cells, one module per cell, all
 module frames aligned with the structure frame.  Each module carries four
 rotors on its diagonals, tilted by +/-eta about the arm axes with alternating
 sign so that uniform thrust produces zero net torque.
+
+Rotor j of a module sits at arm_length * delta_j, delta_j a row of
+ROTOR_DIAGONALS, with tilt eta_j = +eta, -eta, +eta, -eta.  Its thrust
+direction is e3 rotated about delta_j by eta_j; since delta_j is
+perpendicular to e3 the Rodrigues formula reduces to
+
+    d_j = (sin(eta_j) * delta_jy, -sin(eta_j) * delta_jx, cos(eta)).
+
+A module in cell c puts rotor j at p = arm_length * delta_j + o, with
+o = c * side_length - COM, and column k of the configuration matrix is
+
+    A[:, k] = [d_j ; p x d_j + spin_j * c_tau * d_j].
 """
 
 from __future__ import annotations
@@ -11,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .geometry import E3, cross, rotation_about_axis
 
 # Rotor diagonals in module-local frame, in fixed within-module order.
 ROTOR_DIAGONALS = np.array([
@@ -62,18 +72,6 @@ class ModuleParams:
             raise StructureError("c_tau must be nonnegative")
         if abs(self.eta) >= np.pi / 2:
             raise StructureError("|eta| must be below pi/2")
-
-
-@dataclass(frozen=True)
-class RotorSpec:
-    """One rotor: position and orientation in the structure frame, plus spin sign."""
-
-    position: np.ndarray
-    orientation: np.ndarray
-    spin_sign: int
-
-    def thrust_direction(self) -> np.ndarray:
-        return self.orientation @ E3
 
 
 def _as_cells(cells) -> frozenset:
@@ -159,63 +157,31 @@ def center_of_mass(config: StructureConfig) -> np.ndarray:
     return np.array([mx * l, my * l, 0.0])
 
 
-def module_rotor_layout(params: ModuleParams) -> list[RotorSpec]:
-    """The four rotors of one module in module-local coordinates.
-
-    Rotor j sits at arm_length * d_j on the diagonals d_1..d_4, tilted about
-    its own diagonal by eta, -eta, eta, -eta; spin signs alternate +,-,+,-.
-    """
-    rotors = []
-    for j in range(4):
-        axis = ROTOR_DIAGONALS[j]
-        angle = params.eta if j % 2 == 0 else -params.eta
-        rotors.append(RotorSpec(
-            position=params.arm_length * axis,
-            orientation=rotation_about_axis(axis, angle),
-            spin_sign=SPIN_SIGNS[j],
-        ))
-    return rotors
-
-
-def rotor_configuration(config: StructureConfig) -> list[RotorSpec]:
-    """All rotors of a structure, positions relative to the structure COM.
-
-    Modules are visited in sorted cell order; within a module the rotor
-    order follows the fixed diagonal order.
-    """
-    params = config.params
-    com = center_of_mass(config)
-    local = module_rotor_layout(params)
-    rotors = []
-    for ix, iy in config.sorted_cells():
-        center = np.array([ix * params.side_length, iy * params.side_length, 0.0])
-        offset = center - com
-        for spec in local:
-            rotors.append(RotorSpec(
-                position=spec.position + offset,
-                orientation=spec.orientation,
-                spin_sign=spec.spin_sign,
-            ))
-    return rotors
-
-
-def build_configuration_matrix(rotors: list[RotorSpec], c_tau: float) -> np.ndarray:
+def configuration_matrix(config: StructureConfig) -> np.ndarray:
     """6 x 4n map from rotor thrusts to the total wrench in the structure frame.
 
-    Column k stacks the rotor thrust direction over the torque arm
-    p_k x dir_k plus the signed drag term c_tau * dir_k.
+    Columns run module by module in sorted cell order and, within a module,
+    in ROTOR_DIAGONALS order; the module docstring gives the formula.
     """
-    cols = []
-    for spec in rotors:
-        direction = spec.thrust_direction()
-        torque = cross(spec.position, direction) + spec.spin_sign * c_tau * direction
-        cols.append(np.concatenate([direction, torque]))
-    return np.column_stack(cols)
-
-
-def configuration_matrix(config: StructureConfig) -> np.ndarray:
-    """Configuration matrix of a structure (convenience wrapper)."""
-    return build_configuration_matrix(rotor_configuration(config), config.params.c_tau)
+    params = config.params
+    sin_tilt = np.sin(params.eta * np.array([1.0, -1.0, 1.0, -1.0]))
+    # At eta = 0 a zero sine times a negative component gives -0.0; "+ 0.0"
+    # makes it +0.0 so that `modwrench matrix` prints "0", not "-0".
+    direction = np.column_stack([
+        sin_tilt * ROTOR_DIAGONALS[:, 1],
+        sin_tilt * -ROTOR_DIAGONALS[:, 0],
+        np.full(4, np.cos(params.eta)),
+    ]) + 0.0
+    cells = np.array(config.sorted_cells(), dtype=float)
+    offsets = np.column_stack([cells * params.side_length, np.zeros(len(cells))])
+    offsets -= center_of_mass(config)
+    positions = (params.arm_length * ROTOR_DIAGONALS[None] + offsets[:, None]).reshape(-1, 3)
+    D = np.tile(direction, (len(cells), 1))
+    drag = np.tile(SPIN_SIGNS, len(cells)) * params.c_tau
+    columns = np.hstack([D, np.cross(positions, D) + drag[:, None] * D])
+    # A C-ordered copy: a BLAS product sums in an order that follows the
+    # layout, and allocation reports carry those sums to the last bit.
+    return columns.T.copy()
 
 
 def is_torque_balanced(A: np.ndarray, tol: float = 1e-10) -> bool:

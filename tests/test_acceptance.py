@@ -12,7 +12,6 @@ import pytest
 
 from modwrench.allocation import evaluate_task_trace, generate_random_task
 from modwrench.fileio import format_search_result
-from modwrench.geometry import rotation_about_axis
 from modwrench.hull import construct_hull, enumerate_binary_images, hull_contains, prune_redundant
 from modwrench.lp import max_force_zero_torque, max_lambda, satisfies_wrench
 from modwrench.search import SearchOptions, exhaustive_search, heuristic_search
@@ -20,9 +19,7 @@ from modwrench.structures import (
     ROTOR_DIAGONALS,
     SPIN_SIGNS,
     ModuleParams,
-    RotorSpec,
     StructureConfig,
-    build_configuration_matrix,
     configuration_matrix,
     is_torque_balanced,
 )
@@ -178,11 +175,10 @@ def test_criterion_4_torque_balance():
         A = configuration_matrix(StructureConfig(frozenset(cells)))
         assert is_torque_balanced(A, 1e-10), f"{cells} should balance"
     p = ModuleParams(eta=np.pi / 4)
-    mutant = [RotorSpec(p.arm_length * ROTOR_DIAGONALS[j],
-                        rotation_about_axis(ROTOR_DIAGONALS[j], p.eta),
-                        SPIN_SIGNS[j])
-              for j in range(4)]
-    A_mutant = build_configuration_matrix(mutant, p.c_tau)
+    e3 = np.array([0.0, 0.0, 1.0])
+    D = np.cos(p.eta) * e3 + np.sin(p.eta) * np.cross(ROTOR_DIAGONALS, e3)
+    drag = p.c_tau * np.array(SPIN_SIGNS)[:, None] * D
+    A_mutant = np.vstack([D.T, (np.cross(p.arm_length * ROTOR_DIAGONALS, D) + drag).T])
     assert not is_torque_balanced(A_mutant, 1e-10)
     report(4, "single module, 1x3 bar and 2x2 block balance; same-sign tilt mutant does not")
 

@@ -56,6 +56,15 @@ class TestMatrix:
         assert main(["matrix", str(path)]) == 2
         assert "eta" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_2(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe")
+        for args in (["matrix", str(path)], ["check", str(path), str(path)],
+                     ["search", str(path), str(path)]):
+            proc = run_module(*args)
+            assert proc.returncode == 2
+            assert "UTF-8" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_disconnected_exits_3(self, tmp_path, capsys):
         path = tmp_path / "gap.txt"
         path.write_text("eta = pi/4\nside_length = 0.4\narm_length = 0.14\n"
@@ -222,7 +231,8 @@ class TestGenTask:
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("option, value", [("--count", "0"), ("--count", "-2"),
-                                               ("--half-range", "-1"), ("--half-range", "inf")])
+                                               ("--half-range", "-1"), ("--half-range", "inf"),
+                                               ("--fz-scale", "nan"), ("--fz-scale", "inf")])
     def test_invalid_value_exits_2(self, option, value, tmp_path):
         out = tmp_path / "t.txt"
         proc = run_module("gen-task", option, value, "--out", str(out))
@@ -249,6 +259,26 @@ class TestAllocate:
         rng = np.random.default_rng(3)
         task = write_task_file(tmp_path, [A @ rng.uniform(0, 1, 8) for _ in range(5)])
         assert main(["allocate", str(sf), task, "--fallback"]) == 0
+
+
+    @pytest.mark.parametrize("wrench, fallback", [
+        ([0, 0, 8.5, 0, 0, 0], True),     # three times the vertical capacity
+        ([0.05, 0, 2, 0, 0, 0], False),   # off range(A), unsaturated
+        ([0.05, 0, 2, 0, 0, 0], True),
+    ])
+    def test_scale_invariant_verdict(self, wrench, fallback, tmp_path):
+        outcomes = []
+        for k in (1e-9, 1.0):
+            sf = tmp_path / f"one_{k}.txt"
+            write_structure(sf, StructureConfig(frozenset({(0, 0)}), ModuleParams(f_max=k)))
+            task = write_task_file(tmp_path, [np.array(wrench) * k], name=f"task_{k}.txt")
+            report = tmp_path / f"report_{k}.txt"
+            rc = main(["allocate", str(sf), task, "--out", str(report)] + ["--fallback"] * fallback)
+            saturated = [line.split()[6] for line in report.read_text().splitlines()
+                         if not line.startswith("#")]
+            outcomes.append((rc, saturated))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1][0] == 1
 
 
 class TestEntryPoint:

@@ -1,30 +1,69 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from modwrench.geometry import rotation_about_axis
 from modwrench.structures import (
     ROTOR_DIAGONALS,
     SPIN_SIGNS,
     ModuleParams,
-    RotorSpec,
     StructureConfig,
     StructureError,
     attachable_surfaces,
-    build_configuration_matrix,
     canonical_form,
     center_of_mass,
     configuration_matrix,
     is_connected,
     is_torque_balanced,
-    module_rotor_layout,
-    rotor_configuration,
 )
 
 SQRT2 = np.sqrt(2.0)
+E3 = np.array([0.0, 0.0, 1.0])
+
+# Parameter sets of the matrix pins: the defaults, untilted rotors, and two
+# other tilts with other drag, thrust and size parameters.
+PIN_PARAMS = {
+    "default": {},
+    "untilted": dict(eta=0.0),
+    "tilt_0.3": dict(eta=0.3, c_tau=0.05, f_max=8.0),
+    "tilt_-1.2": dict(eta=-1.2, side_length=0.5, arm_length=0.2),
+}
+# sha256 over configuration_matrix(...).tobytes() of every fixed polyomino of
+# up to 6 cells, at its canonical position and translated by (3, -5).
+MATRIX_DIGESTS = {
+    "default": "ec5a1e56287c8df2bd2e8ab5a69fceaac8f7a0ad4927ad8608df719f93bb8c94",
+    "untilted": "fade6c9c0797a3baa4c9dc65a538d8f40c4c4194ed6eebcefc11b86ee00f787e",
+    "tilt_0.3": "4c113051a4de913000d2607eea2e7a33efc40f6b723ed16f4544a1b43e27624e",
+    "tilt_-1.2": "4f602b3e27457b1a9f01062f928d48b062a383e66c6b6de2ac4ad713cdc32710",
+}
 
 
 def make_config(cells, **params):
     return StructureConfig(frozenset(cells), ModuleParams(**params))
+
+
+def assert_columns_match_formula(cells, **params):
+    """Every column of the matrix against the rotor it models, one at a time.
+
+    Rotor j of the module in cell c sits at p = arm * delta_j + c * side - COM
+    and thrusts along e3 turned about delta_j by +/-eta:
+    cos(eta) e3 + sin(+/-eta) (delta_j x e3).
+    """
+    config = make_config(cells, **params)
+    p = config.params
+    A = configuration_matrix(config)
+    assert A.shape == (6, 4 * len(config.cells))
+    com = np.mean([[ix * p.side_length, iy * p.side_length, 0.0] for ix, iy in config.cells], axis=0)
+    k = 0
+    for ix, iy in sorted(config.cells):
+        for j, delta in enumerate(ROTOR_DIAGONALS):
+            tilt = p.eta if j % 2 == 0 else -p.eta
+            d = np.cos(tilt) * E3 + np.sin(tilt) * np.cross(delta, E3)
+            pos = p.arm_length * delta + np.array([ix * p.side_length, iy * p.side_length, 0.0]) - com
+            np.testing.assert_allclose(A[:3, k], d, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(A[3:, k] - SPIN_SIGNS[j] * p.c_tau * d, np.cross(pos, d),
+                                       rtol=0, atol=1e-12)
+            k += 1
 
 
 def fixed_polyominoes(max_cells):
@@ -67,23 +106,23 @@ class TestModuleParams:
 
 class TestRotorLayout:
     def test_untilted_orientations_are_identity(self):
-        rotors = module_rotor_layout(ModuleParams(eta=0.0))
-        for spec in rotors:
-            assert np.allclose(spec.orientation, np.eye(3))
+        A = configuration_matrix(make_config({(0, 0)}, eta=0.0))
+        assert np.array_equal(A[:3], np.outer(E3, np.ones(4)))
+        assert not np.signbit(A[:3]).any()
 
     def test_tilted_thrust_directions(self):
         # Rodrigues oracle: cos(eta)*e3 + sin(eta)*(d_j x e3), alternating sign
-        rotors = module_rotor_layout(ModuleParams(eta=np.pi / 4))
-        assert np.allclose(rotors[0].thrust_direction(), [0.5, -0.5, SQRT2 / 2], atol=1e-12)
-        assert np.allclose(rotors[1].thrust_direction(), [-0.5, -0.5, SQRT2 / 2], atol=1e-12)
+        A = configuration_matrix(make_config({(0, 0)}, eta=np.pi / 4))
+        assert np.allclose(A[:3, 0], [0.5, -0.5, SQRT2 / 2], atol=1e-12)
+        assert np.allclose(A[:3, 1], [-0.5, -0.5, SQRT2 / 2], atol=1e-12)
 
     def test_positions_and_spins(self):
-        p = ModuleParams()
-        rotors = module_rotor_layout(p)
-        for j, spec in enumerate(rotors):
-            assert np.allclose(spec.position, p.arm_length * ROTOR_DIAGONALS[j])
-            assert spec.position[2] == 0.0
-            assert spec.spin_sign == SPIN_SIGNS[j]
+        # untilted, column j's torque is p_j x e3 + spin_j c_tau e3
+        p = ModuleParams(eta=0.0)
+        A = configuration_matrix(StructureConfig(frozenset({(0, 0)}), p))
+        for j in range(4):
+            x, y, _ = p.arm_length * ROTOR_DIAGONALS[j]
+            assert np.allclose(A[3:, j], [y, -x, SPIN_SIGNS[j] * p.c_tau], rtol=0, atol=1e-15)
 
 
 class TestCenterOfMass:
@@ -100,19 +139,21 @@ class TestCenterOfMass:
 
 class TestRotorConfiguration:
     def test_single_module_positions(self):
-        p = ModuleParams()
-        rotors = rotor_configuration(make_config({(0, 0)}))
-        assert len(rotors) == 4
-        for j, spec in enumerate(rotors):
-            assert np.allclose(spec.position, p.arm_length * ROTOR_DIAGONALS[j])
-            assert spec.position[2] == 0.0
+        for params in PIN_PARAMS.values():
+            assert_columns_match_formula({(0, 0)}, **params)
+            assert_columns_match_formula({(4, -7)}, **params)
 
     def test_two_module_offsets(self):
-        rotors = rotor_configuration(make_config({(0, 0), (1, 0)}))
-        local = module_rotor_layout(ModuleParams())
+        for params in PIN_PARAMS.values():
+            assert_columns_match_formula({(0, 0), (1, 0)}, **params)
+            assert_columns_match_formula({(2, 5), (2, 6)}, **params)
+        # untilted, the torque columns read the rotor positions directly
+        p = ModuleParams(eta=0.0)
+        A = configuration_matrix(StructureConfig(frozenset({(0, 0), (1, 0)}), p))
         for j in range(4):
-            assert np.allclose(rotors[j].position, local[j].position + [-0.2, 0, 0])
-            assert np.allclose(rotors[4 + j].position, local[j].position + [0.2, 0, 0])
+            for k, shift in ((j, -0.2), (4 + j, 0.2)):
+                x, y, _ = p.arm_length * ROTOR_DIAGONALS[j] + [shift, 0, 0]
+                assert np.allclose(A[3:5, k], [y, -x], rtol=0, atol=1e-15)
 
     def test_mean_rotor_position_is_origin(self):
         rng = np.random.default_rng(5)
@@ -123,21 +164,39 @@ class TestRotorConfiguration:
                 ix, iy = sorted(cells)[rng.integers(len(cells))]
                 dx, dy = steps[rng.integers(4)]
                 cells.add((ix + dx, iy + dy))
-            rotors = rotor_configuration(make_config(cells))
-            mean = np.mean([r.position for r in rotors], axis=0)
-            assert np.allclose(mean, 0.0, atol=1e-12)
+            for params in PIN_PARAMS.values():
+                assert_columns_match_formula(cells, **params)
+            # untilted, torque rows 3 and 4 of column k are (p_y, -p_x)
+            A = configuration_matrix(make_config(cells, eta=0.0))
+            assert np.allclose(A[3:5].mean(axis=1), 0.0, atol=1e-12)
 
 
 class TestConfigurationMatrix:
+    # Cells (0,0), (0,1), (1,0), (2,0) with side 2 and arm 1/sqrt(2) put the
+    # COM at (1.5, 0.5). Column 8 is rotor 0 of module (1,0), at (1, 0, 0)
+    # from the COM; column 9 is rotor 1 of that module, at the COM.
+    ELL = {(0, 0), (0, 1), (1, 0), (2, 0)}
+    ELL_PARAMS = dict(eta=0.0, side_length=2.0, arm_length=1 / SQRT2, c_tau=0.01)
+
     def test_unit_arm_column(self):
-        spec = RotorSpec(np.array([1.0, 0, 0]), np.eye(3), 1)
-        A = build_configuration_matrix([spec], c_tau=0.01)
-        assert np.allclose(A[:, 0], [0, 0, 1, 0, -1, 0.01])
+        A = configuration_matrix(make_config(self.ELL, **self.ELL_PARAMS))
+        assert np.allclose(A[:, 8], [0, 0, 1, 0, -1, 0.01])
 
     def test_zero_arm_column(self):
-        spec = RotorSpec(np.zeros(3), np.eye(3), -1)
-        A = build_configuration_matrix([spec], c_tau=0.01)
-        assert np.allclose(A[:, 0], [0, 0, 1, 0, 0, -0.01])
+        A = configuration_matrix(make_config(self.ELL, **self.ELL_PARAMS))
+        assert np.allclose(A[:, 9], [0, 0, 1, 0, 0, -0.01])
+
+    @pytest.mark.parametrize("name", sorted(PIN_PARAMS))
+    def test_matrix_bytes_pinned(self, name):
+        digest = hashlib.sha256()
+        for level in fixed_polyominoes(6):
+            for cells in sorted(level):
+                for dx, dy in ((0, 0), (3, -5)):
+                    moved = {(x + dx, y + dy) for x, y in cells}
+                    A = configuration_matrix(make_config(moved, **PIN_PARAMS[name]))
+                    assert A.flags.c_contiguous
+                    digest.update(A.tobytes())
+        assert digest.hexdigest() == MATRIX_DIGESTS[name]
 
     def test_module_torque_columns_cancel(self):
         A = configuration_matrix(make_config({(0, 0)}))
@@ -171,11 +230,10 @@ class TestTorqueBalance:
     def test_same_sign_tilt_mutant_unbalanced(self):
         # all four rotors tilted with the same sign instead of alternating
         p = ModuleParams(eta=np.pi / 4)
-        rotors = [RotorSpec(p.arm_length * ROTOR_DIAGONALS[j],
-                            rotation_about_axis(ROTOR_DIAGONALS[j], p.eta),
-                            SPIN_SIGNS[j])
-                  for j in range(4)]
-        A = build_configuration_matrix(rotors, p.c_tau)
+        D = np.cos(p.eta) * E3 + np.sin(p.eta) * np.cross(ROTOR_DIAGONALS, E3)
+        P = p.arm_length * ROTOR_DIAGONALS
+        drag = p.c_tau * np.array(SPIN_SIGNS)[:, None] * D
+        A = np.vstack([D.T, (np.cross(P, D) + drag).T])
         assert not is_torque_balanced(A, 1e-10)
         assert np.linalg.norm(A[3:, :] @ np.ones(4)) > 1e-3
 

@@ -11,12 +11,9 @@ from .allocation import (
 from .geometry import wrench
 from .hull import (
     CapacityError,
-    VertexHull,
     WrenchHull,
     construct_hull,
-    enumerate_binary_images,
     hull_contains,
-    prune_redundant,
     satisfies_task_hull,
 )
 from .lp import (

@@ -4,8 +4,10 @@ The plain allocator maps each desired wrench through the Moore-Penrose
 pseudoinverse of the configuration matrix and clamps the result into the
 thrust box, recording whether clamping changed anything and how far the
 achieved wrench lands from the desired one.  The optional fallback mode
-instead asks the feasibility LP for an in-box input reproducing the wrench
-exactly, which succeeds whenever the wrench is actually feasible.
+first reads the input of every wrench that `check` accepts off one batched
+capacity solve, `lp.task_capacity`: A U* = lambda* w/|w| with U* in the
+box, so u = U* min(1, |w| / lambda*) is in the box and reproduces w up to
+round-off.
 """
 
 from __future__ import annotations
@@ -61,33 +63,25 @@ def truncate_input(u, f_max: float):
     return clamped, saturated
 
 
-def _fallback_input(A, w, f_max: float):
-    """In-box input reproducing w exactly, when one exists (feasibility LP).
-
-    The residual is accepted relative to f_max * max|a_i|, so the answer does
-    not change when f_max and w are rescaled together.
-    """
-    n = A.shape[1]
-    residual, u = lp.equality_feasibility(A, w, np.zeros(n), np.full(n, float(f_max)))
-    if residual <= lp.FEASIBILITY_TOL * f_max * float(np.linalg.norm(A, axis=0).max()):
-        return u
-    return None
+def _fallback_inputs(A, task, f_max: float) -> list:
+    """In-box input reproducing each task wrench, or None where check rejects the wrench."""
+    ok, lam, U = lp.task_capacity(A, task, f_max)
+    norms = np.linalg.norm(task, axis=1)
+    return [(u * (norm / lam_i) if lam_i > norm else u) if accepted else None
+            for accepted, lam_i, u, norm in zip(ok, lam, U, norms)]
 
 
 def evaluate_task_trace(A, task, f_max: float, fallback: bool = False) -> AllocationReport:
     """Allocate, clamp and measure every wrench of a task in order.
 
-    With `fallback` set, each wrench is first given to the feasibility LP;
-    the pseudoinverse route is used only for wrenches no in-box input can
-    reproduce.
+    With `fallback` set, every feasible wrench takes its input from the
+    capacity solve; the pseudoinverse route is used only for the others.
     """
     A = np.asarray(A, dtype=float)
     task = np.atleast_2d(np.asarray(task, dtype=float))
+    inputs = _fallback_inputs(A, task, f_max) if fallback else [None] * task.shape[0]
     rows = []
-    for w in task:
-        raw = None
-        if fallback:
-            raw = _fallback_input(A, w, f_max)
+    for w, raw in zip(task, inputs):
         if raw is None:
             raw = min_norm_allocation(A, w)
         u, saturated = truncate_input(raw, f_max)

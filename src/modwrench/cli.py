@@ -27,8 +27,8 @@ EXIT_STRUCTURE = 3
 EXIT_ASYMMETRIC = 4
 EXIT_CAPACITY = 5
 
-# Column budget accepted by the hull export.
-HULL_COLUMN_CAPACITY = hull.MAX_ENUM_COLUMNS
+# Column budget accepted by the hull export (5 modules).
+HULL_COLUMN_CAPACITY = 20
 
 
 def _fmt(value: float) -> str:
@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
     p.add_argument("task")
     p.add_argument("--fallback", action="store_true",
-                   help="use the feasibility LP before falling back to the pseudoinverse")
+                   help="take each feasible wrench's input from the capacity LP before "
+                        "falling back to the pseudoinverse")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_allocate)
     return parser

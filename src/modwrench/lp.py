@@ -15,15 +15,18 @@ per-wrench and per-task verdicts, and the zero-torque force variant.
 Every lambda query starts feasible: max lambda s.t. A u - lambda w + a = 0,
 u in [0, f_max], lambda >= 0 and one artificial a per row pinned to [0, 0]
 holds at u = 0, lambda = 0 with the artificials basic, so there is no
-phase 1.  Two phases are used only behind `equality_feasibility`.
-`max_lambda` solves one direction from that start with `_simplex`.  A task
-of several wrenches is checked in one batched solve, `max_lambda_many`,
-with the same start, pricing and switch to Bland's rule: each wrench gets
-its own simplex over the same columns, the K bases and their inverses are
-stacked, and every pivot is one numpy step across the batch, with B^-1
-kept by rank-one (eta) updates and refactored from the basis columns every
-_REFACTOR_EVERY pivots.  A one-wrench task takes the scalar route, which
-is faster for a single direction.
+phase 1, and this is the only LP the package solves: the allocator's
+fallback reads its in-box inputs off the same capacity solve.  Every band
+is relative to the scale of the problem (f_max * max|a_i| for magnitudes,
+f_max for ratio-test steps), so no verdict changes when f_max and the task
+are rescaled together.  `max_lambda` solves one direction from that start
+with `_simplex`.  A task of several wrenches is checked in one batched
+solve, `max_lambda_many`, with the same start, pricing and switch to
+Bland's rule: each wrench gets its own simplex over the same columns, the
+K bases and their inverses are stacked, and every pivot is one numpy step
+across the batch, with B^-1 kept by rank-one (eta) updates and refactored
+from the basis columns every _REFACTOR_EVERY pivots.  A one-wrench task
+takes the scalar route, which is faster for a single direction.
 
 A search needs only to know whether some wrench fails, and how.
 `separating_normal` runs the same batch but stops it at the first problem
@@ -44,29 +47,34 @@ import numpy as np
 # f_max * max|a_i|, so verdicts do not change when f_max and the task are
 # rescaled together.
 BOUNDARY_TOL = 1e-9
-# Wrenches below this norm are treated as the zero wrench.
+# Wrenches within this norm, relative to f_max * max|a_i|, are treated as
+# the zero wrench.
 ZERO_WRENCH_TOL = 1e-12
-# Equality-constraint residual accepted as feasible, per unit of system size.
-FEASIBILITY_TOL = 1e-8
 # Relative singular-value cut for the rank of A, and the off-range residual
 # of a unit direction beyond which it is unreachable.
 RANGE_TOL = 1e-9
 
 _RCOST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
+# Ratio-test tie band and degenerate-step cut of the lambda queries, per
+# unit of f_max: the step lengths scale with f_max, so an absolute band
+# would break ties differently when f_max and the task are rescaled.
+_TIE_TOL = 1e-12
 # Pivots between refactorizations of the stacked basis inverses of
 # max_lambda_many; the eta updates in between accumulate round-off.
 _REFACTOR_EVERY = 32
 
 
-def _simplex(A, b, c, lower, upper, basis, at_upper):
+def _simplex(A, b, c, lower, upper, basis, at_upper, tie):
     """Run bounded-variable simplex iterations in place; return basic values.
 
     `basis` and `at_upper` are updated in place.  Maximizes c @ x.  Entering
     variables are priced by steepest reduced cost; after a run of degenerate
     pivots the rule falls back to Bland's smallest-index rule until progress
-    resumes, which rules out cycling.  Both rules are deterministic.  Raises
-    RuntimeError when an improving ray has no blocking bound.
+    resumes, which rules out cycling.  Both rules are deterministic.  In the
+    ratio test, steps within `tie` of the shortest one tie and the smallest
+    variable index wins; a step of at most `tie` counts as degenerate.
+    Raises RuntimeError when an improving ray has no blocking bound.
     """
     m, n = A.shape
     fixed = (upper - lower) <= 0.0
@@ -123,14 +131,14 @@ def _simplex(A, b, c, lower, upper, basis, at_upper):
                 continue
             if lim < 0.0:
                 lim = 0.0
-            if lim < best - 1e-12 or (lim <= best + 1e-12 and var < best_var):
+            if lim < best - tie or (lim <= best + tie and var < best_var):
                 best = lim
                 best_var = var
                 best_row = i
                 best_hit_upper = hit_upper
         if not np.isfinite(best):
             raise RuntimeError("simplex ended unbounded")
-        stalled = stalled + 1 if best <= 1e-12 else 0
+        stalled = stalled + 1 if best <= tie else 0
         if best_row < 0:
             at_upper[j] = not at_upper[j]  # bound flip, basis unchanged
         else:
@@ -141,54 +149,6 @@ def _simplex(A, b, c, lower, upper, basis, at_upper):
             is_basic[j] = True
             at_upper[j] = False
     raise RuntimeError("simplex iteration limit exceeded")
-
-
-def _phase1(A, b, lower, upper):
-    """Minimal L1 equality violation with all variables started at lower bounds.
-
-    Each row gets a +1 and a -1 artificial slack so violations in either
-    direction can be absorbed; the minimum of their sum is the true L1
-    residual.  Returns (residual, x_ext, basis, A_ext), where the last 2m
-    entries of x_ext are the artificials and A_ext = [A | I | -I].
-    """
-    m, n = A.shape
-    resid = b - A @ lower
-    A_ext = np.hstack([A, np.eye(m), -np.eye(m)]) if m else A.reshape(0, n)
-    lo_ext = np.concatenate([lower, np.zeros(2 * m)])
-    hi_ext = np.concatenate([upper, np.full(2 * m, np.inf)])
-    c1 = np.zeros(n + 2 * m)
-    c1[n:] = -1.0
-    basis = np.where(resid >= 0.0, np.arange(n, n + m), np.arange(n + m, n + 2 * m))
-    basis = basis.astype(int)
-    at_upper = np.zeros(n + 2 * m, dtype=bool)
-    x = _simplex(A_ext, b, c1, lo_ext, hi_ext, basis, at_upper)
-    residual = max(float(np.sum(x[n:])), 0.0)
-    return residual, x, basis, A_ext
-
-
-def equality_feasibility(eq_matrix, eq_rhs, lower, upper, want_dual: bool = False):
-    """Minimal L1 violation of eq_matrix @ x = eq_rhs over the box, with witness.
-
-    Returns (residual, x), or (residual, x, y) with the final dual vector
-    when `want_dual` is set (used for pricing in column generation).
-    A residual within FEASIBILITY_TOL of the system's size means the system
-    is feasible and x is a feasible point (up to that tolerance).
-    """
-    A = np.asarray(eq_matrix, dtype=float)
-    b = np.asarray(eq_rhs, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    residual, x, basis, A_ext = _phase1(A, b, lo, hi)
-    n = A.shape[1]
-    if not want_dual:
-        return residual, x[:n]
-    m = A.shape[0]
-    if m == 0:
-        return residual, x[:n], np.zeros(0)
-    c1 = np.zeros(n + 2 * m)
-    c1[n:] = -1.0
-    y = c1[basis] @ np.linalg.inv(A_ext[:, basis])
-    return residual, x[:n], y
 
 
 def max_lambda(A, w_hat, f_max: float):
@@ -215,7 +175,7 @@ def max_lambda(A, w_hat, f_max: float):
     c[n] = 1.0
     upper = np.concatenate([np.full(n, float(f_max)), [np.inf], np.zeros(m)])
     x = _simplex(np.hstack([A, -W.T, np.eye(m)]), np.zeros(m), c, np.zeros(n + 1 + m), upper,
-                 np.arange(n + 1, n + 1 + m), np.zeros(n + 1 + m, dtype=bool))
+                 np.arange(n + 1, n + 1 + m), np.zeros(n + 1 + m, dtype=bool), _TIE_TOL * f_max)
     return float(x[n]), x[:n]
 
 
@@ -268,8 +228,8 @@ def _max_lambda_batch(A, W, f_max, stop=None):
     0 with the artificials basic.  Only the lambda column differs between
     problems, so the others are shared.  Per problem, the rules are those
     of _simplex: steepest reduced cost, Bland's rule after 2(m + 2)
-    degenerate pivots, and ratio-test ties within 1e-12 broken by the
-    smallest variable index.  A problem that reaches optimality is recorded
+    degenerate pivots, and ratio-test ties within _TIE_TOL * f_max broken by
+    the smallest variable index.  A problem that reaches optimality is recorded
     and masked out of every later update.  The arrays keep their shape
     rather than shrink, so every pivot reuses buffers of the same sizes.
 
@@ -301,6 +261,7 @@ def _max_lambda_batch(A, W, f_max, stop=None):
     active = np.ones(k, dtype=bool)
     lam, U = np.empty(k), np.empty((k, n))
     r = np.arange(k)
+    tie = _TIE_TOL * f_max
     # _simplex's bound for the n + 1 + m columns of max_lambda.
     max_iter = 2000 + 200 * (n + 1 + 2 * m)
     try:
@@ -356,10 +317,10 @@ def _max_lambda_batch(A, W, f_max, stop=None):
             best = np.minimum(lim.min(axis=1), upper[j])
             if not np.isfinite(best[active]).all():
                 raise RuntimeError("direction maximization ended unbounded")
-            tied = np.where(lim <= best[:, None] + 1e-12, basis, n + 1 + m)
+            tied = np.where(lim <= best[:, None] + tie, basis, n + 1 + m)
             row = tied.argmin(axis=1)
-            flip = (upper[j] <= best + 1e-12) & (j < tied[r, row]) & active
-            stalled = np.where(best <= 1e-12, stalled + 1, 0)
+            flip = (upper[j] <= best + tie) & (j < tied[r, row]) & active
+            stalled = np.where(best <= tie, stalled + 1, 0)
             at_upper[r[flip], j[flip]] ^= True  # bound flip, basis unchanged
             p = r[active & ~flip]
             rp, jp = row[p], j[p]
@@ -383,36 +344,50 @@ def _max_lambda_batch(A, W, f_max, stop=None):
 def satisfies_wrench(A, w, f_max: float) -> bool:
     """True iff the wrench w is inside the feasible set of A under the thrust box.
 
-    The capacity along w may fall short of |w| by BOUNDARY_TOL * f_max * max|a_i|.
+    The capacity along w may fall short of |w| by BOUNDARY_TOL * f_max * max|a_i|,
+    and a wrench within ZERO_WRENCH_TOL * f_max * max|a_i| of zero passes.
     """
     A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
     norm = float(np.linalg.norm(w))
-    if norm < ZERO_WRENCH_TOL:
+    scale = f_max * float(np.linalg.norm(A, axis=0).max())
+    if norm <= ZERO_WRENCH_TOL * scale:
         return True
     lam, _ = max_lambda(A, w / norm, f_max)
-    return lam >= norm - BOUNDARY_TOL * f_max * float(np.linalg.norm(A, axis=0).max())
+    return lam >= norm - BOUNDARY_TOL * scale
+
+
+def task_capacity(A, task, f_max: float):
+    """The verdict of satisfies_wrench on every task wrench, from one batched solve.
+
+    Returns (ok, lam, U), one row per wrench.  A wrench within
+    ZERO_WRENCH_TOL * f_max * max|a_i| of zero passes with lam = 0 and
+    U = 0.  The others share one max_lambda_many solve, which gives lam and
+    U along w / |w|, and pass when lam >= |w| - BOUNDARY_TOL * f_max * max|a_i|.
+    """
+    A = np.asarray(A, dtype=float)
+    task = np.atleast_2d(np.asarray(task, dtype=float))
+    norms = np.linalg.norm(task, axis=1)
+    scale = f_max * float(np.linalg.norm(A, axis=0).max())
+    ok = norms <= ZERO_WRENCH_TOL * scale
+    lam, U = np.zeros(task.shape[0]), np.zeros((task.shape[0], A.shape[1]))
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        lam[rows], U[rows] = max_lambda_many(A, task[rows] / norms[rows, None], f_max)
+        ok[rows] = lam[rows] >= norms[rows] - BOUNDARY_TOL * scale
+    return ok, lam, U
 
 
 def task_verdicts(A, task, f_max: float) -> np.ndarray:
     """satisfies_wrench for every wrench of a task, as one bool per row.
 
-    Zero rows are satisfied; the others share one max_lambda_many solve and
-    the boundary band of satisfies_wrench.  A one-row task goes through
-    satisfies_wrench itself.
+    A one-row task goes through satisfies_wrench itself, a longer one
+    through task_capacity.
     """
-    A = np.asarray(A, dtype=float)
     task = np.atleast_2d(np.asarray(task, dtype=float))
     if task.shape[0] == 1:
         return np.array([satisfies_wrench(A, task[0], f_max)])
-    norms = np.linalg.norm(task, axis=1)
-    ok = norms < ZERO_WRENCH_TOL
-    rows = np.flatnonzero(~ok)
-    if rows.size:
-        lam, _ = max_lambda_many(A, task[rows] / norms[rows, None], f_max)
-        band = BOUNDARY_TOL * f_max * float(np.linalg.norm(A, axis=0).max())
-        ok[rows] = lam >= norms[rows] - band
-    return ok
+    return task_capacity(A, task, f_max)[0]
 
 
 def separating_normal(A, task, f_max: float):
@@ -435,9 +410,10 @@ def separating_normal(A, task, f_max: float):
     if not (np.isfinite(f_max) and f_max > 0):
         raise ValueError("f_max must be positive")
     norms = np.linalg.norm(task, axis=1)
-    rows = np.flatnonzero(norms >= ZERO_WRENCH_TOL)
+    scale = f_max * float(np.linalg.norm(A, axis=0).max())
+    rows = np.flatnonzero(norms > ZERO_WRENCH_TOL * scale)
     Q, A_range, W_range, off = _range_coordinates(A, task[rows] / norms[rows, None])
-    need = norms[rows] - BOUNDARY_TOL * f_max * float(np.linalg.norm(A, axis=0).max())
+    need = norms[rows] - BOUNDARY_TOL * scale
     off_norm = np.linalg.norm(off, axis=1)
     unreachable = np.flatnonzero((off_norm > RANGE_TOL) & (need > 0))
     if unreachable.size:

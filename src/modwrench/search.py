@@ -132,19 +132,22 @@ def _make_checker(task, checker: str):
         return lambda config: hull.satisfies_task_hull(
             configuration_matrix(config), task, config.params.f_max)
     cache = _SeparatingNormals(task)
-    if checker == "lp":
-        # The LP accepts a wrench up to lp.BOUNDARY_TOL short of its
-        # capacity, measured in range(A), which may leave lp.RANGE_TOL * |w|
-        # off the wrench set; it accepts the zero wrench outright.
-        norms = np.linalg.norm(task, axis=1)
-        tol, extra = lp.BOUNDARY_TOL, np.where(norms < lp.ZERO_WRENCH_TOL, np.inf, lp.RANGE_TOL * norms)
-    else:
-        tol, extra = _SKIP_BAND, 0.0
+    norms = np.linalg.norm(task, axis=1)
 
     def check(config: StructureConfig) -> bool:
         A = configuration_matrix(config)
         f_max = config.params.f_max
-        if cache.rejects(A, f_max, tol * f_max * float(np.linalg.norm(A, axis=0).max()) + extra):
+        scale = f_max * float(np.linalg.norm(A, axis=0).max())
+        if checker == "lp":
+            # The LP accepts a wrench up to lp.BOUNDARY_TOL short of its
+            # capacity, measured in range(A), which may leave
+            # lp.RANGE_TOL * |w| off the wrench set; it accepts a wrench
+            # within lp.ZERO_WRENCH_TOL of zero outright.
+            band = np.where(norms <= lp.ZERO_WRENCH_TOL * scale, np.inf,
+                            lp.BOUNDARY_TOL * scale + lp.RANGE_TOL * norms)
+        else:
+            band = _SKIP_BAND * scale
+        if cache.rejects(A, f_max, band):
             return False
         if checker == "lp":
             hit = lp.separating_normal(A, task, f_max)

@@ -12,7 +12,7 @@ import pytest
 
 from modwrench.allocation import evaluate_task_trace, generate_random_task
 from modwrench.fileio import format_search_result
-from modwrench.hull import construct_hull, enumerate_binary_images, hull_contains, prune_redundant
+from modwrench.hull import construct_hull, hull_contains
 from modwrench.lp import max_force_zero_torque, max_lambda, satisfies_wrench
 from modwrench.search import SearchOptions, exhaustive_search, heuristic_search
 from modwrench.structures import (
@@ -23,6 +23,8 @@ from modwrench.structures import (
     configuration_matrix,
     is_torque_balanced,
 )
+
+from brute_force import enumerate_binary_images, prune_redundant
 
 SQRT2 = np.sqrt(2.0)
 # Seed picked so the folded task keeps the vertical force bounded away from

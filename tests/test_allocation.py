@@ -7,10 +7,12 @@ from modwrench.allocation import (
     min_norm_allocation,
     truncate_input,
 )
-from modwrench.lp import satisfies_wrench
+from modwrench.lp import satisfies_wrench, task_verdicts
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
 SQRT2 = np.sqrt(2.0)
+BAR3 = {(0, 0), (1, 0), (2, 0)}
+L_TROMINO = {(0, 0), (1, 0), (0, 1)}
 
 
 def module_matrix(cells={(0, 0)}, **params):
@@ -114,6 +116,52 @@ class TestTaskTrace:
         report = evaluate_task_trace(A, task, 1.0, fallback=True)
         assert report.max_error <= 1e-6
         assert not report.any_saturated
+
+
+def vertex_probes(A, count=4, seed=3):
+    """Wrenches around the f_max = 1 wrench set of A, and which are vertices pushed out.
+
+    Per unit normal n in range(A): the vertex A [n . A > 0], that vertex
+    pushed 2e-9 * max|a_i| outward along n, and 1.05 times the vertex; then
+    four images of interior thrusts and the zero wrench.
+    """
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.svd(A, full_matrices=False)[0][:, :np.linalg.matrix_rank(A)]
+    push = 2e-9 * np.linalg.norm(A, axis=0).max()
+    rows, pushed = [], []
+    for _ in range(count):
+        n = Q @ (Q.T @ rng.normal(size=6))
+        n /= np.linalg.norm(n)
+        vertex = A @ (n @ A > 0)
+        pushed.append(len(rows) + 1)
+        rows += [vertex, vertex + push * n, 1.05 * vertex]
+    rows += [A @ rng.uniform(0.05, 0.95, A.shape[1]) for _ in range(4)] + [np.zeros(6)]
+    return np.array(rows), pushed
+
+
+class TestFallback:
+    @pytest.mark.parametrize("cells", [{(0, 0)}, BAR3, L_TROMINO], ids=["module", "bar", "L"])
+    def test_rows_follow_task_verdicts(self, cells):
+        # A row is reproduced in the box, to round-off, exactly when the
+        # capacity check accepts it; a rejected row misses by more than the
+        # allocate command's bound.  The vertices pushed out by 2e-9 are
+        # rejected, and the same rows pass at every joint scale.
+        A = module_matrix(cells)
+        task, pushed = vertex_probes(A)
+        outcomes = []
+        for k in (2.0 ** -3, 1.0, 2.0 ** 3):
+            scale = k * np.linalg.norm(A, axis=0).max()
+            verdicts = task_verdicts(A, k * task, k)
+            report = evaluate_task_trace(A, k * task, k, fallback=True)
+            for row, ok in zip(report.rows, verdicts):
+                assert np.all(row.input >= 0.0) and np.all(row.input <= k)
+                if ok:
+                    assert not row.saturated and row.error <= 1e-12 * scale
+                else:
+                    assert row.saturated or row.error > 1e-6 * scale
+            assert not verdicts[pushed].any()
+            outcomes.append((verdicts.tolist(), [row.saturated for row in report.rows]))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestRandomTask:

@@ -8,8 +8,9 @@ import pytest
 from modwrench import search
 from modwrench.cli import main
 from modwrench.fileio import read_hull_vertices, read_search_result, read_task, write_structure, write_task
-from modwrench.hull import enumerate_binary_images, prune_redundant
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
+
+from brute_force import enumerate_binary_images, prune_redundant
 
 SQRT2 = np.sqrt(2.0)
 
@@ -260,6 +261,18 @@ class TestAllocate:
         task = write_task_file(tmp_path, [A @ rng.uniform(0, 1, 8) for _ in range(5)])
         assert main(["allocate", str(sf), task, "--fallback"]) == 0
 
+    def test_fallback_agrees_with_check_near_a_vertex(self, tmp_path):
+        # A vertex of the L pushed 2e-9 outward, beside an interior wrench:
+        # check rejects it, so the fallback must not reproduce it either.
+        cfg = StructureConfig(frozenset({(0, 0), (1, 0), (0, 1)}))
+        sf = tmp_path / "l.txt"
+        write_structure(sf, cfg)
+        A = configuration_matrix(cfg)
+        n = np.random.default_rng(3).normal(size=6)
+        n /= np.linalg.norm(n)
+        task = write_task_file(tmp_path, [A @ (n @ A > 0) + 2e-9 * n, A @ np.full(12, 0.5)])
+        assert main(["check", str(sf), task]) == 1
+        assert main(["allocate", str(sf), task, "--fallback"]) == 1
 
     @pytest.mark.parametrize("wrench, fallback", [
         ([0, 0, 8.5, 0, 0, 0], True),     # three times the vertical capacity

@@ -17,9 +17,11 @@ from modwrench.fileio import (
     write_structure,
     write_task,
 )
-from modwrench.hull import construct_hull, prune_redundant
+from modwrench.hull import construct_hull
 from modwrench.search import SearchOptions, exhaustive_search
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
+
+from brute_force import prune_redundant
 
 STRUCTURE_TEXT = """\
 # comment line

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from modwrench.hull import (
     CapacityError,
     construct_hull,
-    enumerate_binary_images,
     hull_contains,
-    prune_redundant,
     satisfies_task_hull,
     separating_normal_hull,
 )
-from modwrench.lp import satisfies_task, satisfies_wrench, task_verdicts
+from modwrench.lp import satisfies_task, satisfies_wrench, separating_normal, task_verdicts
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
+
+from brute_force import enumerate_binary_images, prune_redundant
 
 SQRT2 = np.sqrt(2.0)
 BAR3 = {(0, 0), (1, 0), (2, 0)}
@@ -309,6 +309,41 @@ def test_lp_verdicts_invariant_under_joint_scaling(log_margin, structure, k, ins
     w = banded_wrench(A, inside, 10.0 ** log_margin, coeffs, direction)
     for f_max in (1.0, k):
         assert satisfies_wrench(A, f_max * w, f_max) == inside
+
+
+@given(log_margin=st.floats(-4.0, np.log10(0.5)), **wrench_strategies)
+@settings(max_examples=60, deadline=None)
+def test_task_verdicts_invariant_under_joint_scaling(log_margin, structure, k, inside, coeffs, direction):
+    # A second, interior row sends the task through the batched solve.
+    A = SCALE_MATRICES[structure]
+    task = np.array([banded_wrench(A, inside, 10.0 ** log_margin, coeffs, direction),
+                     banded_wrench(A, True, 0.25, coeffs[::-1], direction)])
+    for f_max in (1.0, k):
+        assert task_verdicts(A, f_max * task, f_max).tolist() == [inside, True]
+
+
+def lp_and_hull_verdicts(A, w, f_max):
+    """The verdict on w of every LP route and of the hull."""
+    return [satisfies_wrench(A, w, f_max), *task_verdicts(A, [w, w], f_max),
+            separating_normal(A, [w, w], f_max) is None,
+            hull_contains(construct_hull(A, f_max), w)]
+
+
+@pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
+def test_ratio_test_ties_scale_with_f_max(f_max):
+    # Outside the wrench set.  An absolute tie band would break a tie at
+    # f_max = 1e-6 that releases a pinned artificial, and the LP routes
+    # would say inside.
+    w = banded_wrench(SCALE_MATRICES[0], False, 1e-3, None, [0, 1e-6, 0, 0, 0, 1])
+    assert lp_and_hull_verdicts(SCALE_MATRICES[0], f_max * w, f_max) == [False] * 5
+
+
+@pytest.mark.parametrize("f_max", [1e-13, 1.0, 1e6])
+def test_zero_wrench_cut_scales_with_f_max(f_max):
+    # A module cannot push down.  An absolute cut would pass |w| = 1e-13 as
+    # the zero wrench.
+    w = np.array([0, 0, -f_max, 0, 0, 0])
+    assert lp_and_hull_verdicts(SCALE_MATRICES[0], w, f_max) == [False] * 5
 
 
 # The wrench map of a 180 degree turn about z: R_z(pi) on force and torque.

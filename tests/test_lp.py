@@ -3,9 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from modwrench import lp as lp_module
-from modwrench.hull import enumerate_binary_images
 from modwrench.lp import (
-    equality_feasibility,
     max_force_zero_torque,
     max_lambda,
     max_lambda_many,
@@ -15,6 +13,8 @@ from modwrench.lp import (
     task_verdicts,
 )
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
+
+from brute_force import enumerate_binary_images, equality_feasibility
 
 SQRT2 = np.sqrt(2.0)
 

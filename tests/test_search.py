@@ -7,7 +7,7 @@ import pytest
 
 from modwrench import hull, lp, search
 from modwrench.allocation import generate_random_task
-from modwrench.hull import enumerate_binary_images, satisfies_task_hull
+from modwrench.hull import satisfies_task_hull
 from modwrench.search import (
     AsymmetricSeedError,
     SearchOptions,
@@ -29,6 +29,8 @@ from modwrench.structures import (
     configuration_matrix,
     is_torque_balanced,
 )
+
+from brute_force import enumerate_binary_images
 
 SQRT2 = np.sqrt(2.0)
 L_TROMINO = {(0, 0), (1, 0), (0, 1)}

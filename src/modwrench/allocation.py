@@ -4,10 +4,12 @@ The plain allocator maps each desired wrench through the Moore-Penrose
 pseudoinverse of the configuration matrix and clamps the result into the
 thrust box, recording whether clamping changed anything and how far the
 achieved wrench lands from the desired one.  The optional fallback mode
-first reads the input of every wrench that `check` accepts off one batched
+first reads the input of every wrench that `check` accepts off the same
 capacity solve, `lp.task_capacity`: A U* = lambda* w/|w| with U* in the
-box, so u = U* min(1, |w| / lambda*) is in the box and reproduces w up to
-round-off.
+box, so u = U* min(1, |w| / lambda*) is in the box and misses w by the
+shortfall max(0, |w| - lambda*) plus round-off.  An accepted wrench falls
+short by at most lp.BOUNDARY_TOL * f_max * max|a_i|, so that bounds its
+error too.
 """
 
 from __future__ import annotations
@@ -64,8 +66,19 @@ def truncate_input(u, f_max: float):
 
 
 def _fallback_inputs(A, task, f_max: float) -> list:
-    """In-box input reproducing each task wrench, or None where check rejects the wrench."""
-    ok, lam, U = lp.task_capacity(A, task, f_max)
+    """In-box input reproducing each task wrench, or None where check rejects the wrench.
+
+    The batched solve can stall on a wrench just outside a vertex of the
+    wrench set (the iteration limit, or a singular basis).  Then each row
+    is solved alone, as check solves a one-wrench task, and a row whose
+    solve still fails is left to the pseudoinverse.
+    """
+    try:
+        ok, lam, U = lp.task_capacity(A, task, f_max)
+    except RuntimeError:
+        if task.shape[0] == 1:
+            return [None]
+        return [u for w in task for u in _fallback_inputs(A, w[None], f_max)]
     norms = np.linalg.norm(task, axis=1)
     return [(u * (norm / lam_i) if lam_i > norm else u) if accepted else None
             for accepted, lam_i, u, norm in zip(ok, lam, U, norms)]

@@ -25,8 +25,10 @@ solve, `max_lambda_many`, with the same start, pricing and switch to
 Bland's rule: each wrench gets its own simplex over the same columns, the
 K bases and their inverses are stacked, and every pivot is one numpy step
 across the batch, with B^-1 kept by rank-one (eta) updates and refactored
-from the basis columns every _REFACTOR_EVERY pivots.  A one-wrench task
-takes the scalar route, which is faster for a single direction.
+from the basis columns every _REFACTOR_EVERY pivots.  `task_capacity`
+answers every wrench of a task this way for `check` and the allocator's
+fallback alike; a one-wrench task takes the scalar route, which is faster
+for a single direction.
 
 A search needs only to know whether some wrench fails, and how.
 `separating_normal` runs the same batch but stops it at the first problem
@@ -347,26 +349,35 @@ def satisfies_wrench(A, w, f_max: float) -> bool:
     The capacity along w may fall short of |w| by BOUNDARY_TOL * f_max * max|a_i|,
     and a wrench within ZERO_WRENCH_TOL * f_max * max|a_i| of zero passes.
     """
+    return bool(_wrench_capacity(A, w, f_max)[0])
+
+
+def _wrench_capacity(A, w, f_max: float):
+    """(ok, lam, u) of one wrench, from max_lambda; the one-row case of task_capacity."""
     A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
     norm = float(np.linalg.norm(w))
     scale = f_max * float(np.linalg.norm(A, axis=0).max())
     if norm <= ZERO_WRENCH_TOL * scale:
-        return True
-    lam, _ = max_lambda(A, w / norm, f_max)
-    return lam >= norm - BOUNDARY_TOL * scale
+        return True, 0.0, np.zeros(A.shape[1])
+    lam, u = max_lambda(A, w / norm, f_max)
+    return lam >= norm - BOUNDARY_TOL * scale, lam, u
 
 
 def task_capacity(A, task, f_max: float):
-    """The verdict of satisfies_wrench on every task wrench, from one batched solve.
+    """The verdict of satisfies_wrench on every task wrench, with lambda* and U*.
 
     Returns (ok, lam, U), one row per wrench.  A wrench within
     ZERO_WRENCH_TOL * f_max * max|a_i| of zero passes with lam = 0 and
-    U = 0.  The others share one max_lambda_many solve, which gives lam and
-    U along w / |w|, and pass when lam >= |w| - BOUNDARY_TOL * f_max * max|a_i|.
+    U = 0.  The others get lam and U along w / |w|, from max_lambda for a
+    one-row task and from one max_lambda_many solve for a longer one, and
+    pass when lam >= |w| - BOUNDARY_TOL * f_max * max|a_i|.
     """
-    A = np.asarray(A, dtype=float)
     task = np.atleast_2d(np.asarray(task, dtype=float))
+    if task.shape[0] == 1:
+        ok, lam, u = _wrench_capacity(A, task[0], f_max)
+        return np.array([ok]), np.array([lam]), u[None]
+    A = np.asarray(A, dtype=float)
     norms = np.linalg.norm(task, axis=1)
     scale = f_max * float(np.linalg.norm(A, axis=0).max())
     ok = norms <= ZERO_WRENCH_TOL * scale
@@ -379,14 +390,7 @@ def task_capacity(A, task, f_max: float):
 
 
 def task_verdicts(A, task, f_max: float) -> np.ndarray:
-    """satisfies_wrench for every wrench of a task, as one bool per row.
-
-    A one-row task goes through satisfies_wrench itself, a longer one
-    through task_capacity.
-    """
-    task = np.atleast_2d(np.asarray(task, dtype=float))
-    if task.shape[0] == 1:
-        return np.array([satisfies_wrench(A, task[0], f_max)])
+    """satisfies_wrench for every wrench of a task, as one bool per row."""
     return task_capacity(A, task, f_max)[0]
 
 

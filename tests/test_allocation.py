@@ -7,7 +7,7 @@ from modwrench.allocation import (
     min_norm_allocation,
     truncate_input,
 )
-from modwrench.lp import satisfies_wrench, task_verdicts
+from modwrench.lp import BOUNDARY_TOL, max_lambda, satisfies_wrench, task_capacity, task_verdicts
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -119,49 +119,77 @@ class TestTaskTrace:
 
 
 def vertex_probes(A, count=4, seed=3):
-    """Wrenches around the f_max = 1 wrench set of A, and which are vertices pushed out.
+    """Wrenches around the f_max = 1 wrench set of A, and where the pushed vertices are.
 
     Per unit normal n in range(A): the vertex A [n . A > 0], that vertex
-    pushed 2e-9 * max|a_i| outward along n, and 1.05 times the vertex; then
-    four images of interior thrusts and the zero wrench.
+    pushed 2e-9 * max|a_i| outward along n, the wrench along n 0.5e-9 *
+    max|a_i| beyond the capacity lambda* there (inside the boundary band),
+    and 1.05 times the vertex; then four images of interior
+    thrusts and the zero wrench.  Returns (rows, pushed, banded), the last
+    two being row indices.
     """
     rng = np.random.default_rng(seed)
     Q = np.linalg.svd(A, full_matrices=False)[0][:, :np.linalg.matrix_rank(A)]
     push = 2e-9 * np.linalg.norm(A, axis=0).max()
-    rows, pushed = [], []
+    rows, pushed, banded = [], [], []
     for _ in range(count):
         n = Q @ (Q.T @ rng.normal(size=6))
         n /= np.linalg.norm(n)
         vertex = A @ (n @ A > 0)
         pushed.append(len(rows) + 1)
-        rows += [vertex, vertex + push * n, 1.05 * vertex]
+        banded.append(len(rows) + 2)
+        beyond = (max_lambda(A, n, 1.0)[0] + 0.25 * push) * n
+        rows += [vertex, vertex + push * n, beyond, 1.05 * vertex]
     rows += [A @ rng.uniform(0.05, 0.95, A.shape[1]) for _ in range(4)] + [np.zeros(6)]
-    return np.array(rows), pushed
+    return np.array(rows), pushed, banded
 
 
 class TestFallback:
     @pytest.mark.parametrize("cells", [{(0, 0)}, BAR3, L_TROMINO], ids=["module", "bar", "L"])
     def test_rows_follow_task_verdicts(self, cells):
-        # A row is reproduced in the box, to round-off, exactly when the
-        # capacity check accepts it; a rejected row misses by more than the
+        # A row is reproduced in the box exactly when the capacity check
+        # accepts it, to round-off beyond its shortfall |w| - lambda*, which
+        # the boundary band bounds; a rejected row misses by more than the
         # allocate command's bound.  The vertices pushed out by 2e-9 are
-        # rejected, and the same rows pass at every joint scale.
+        # rejected, those pushed out by 0.5e-9 accepted, and the same rows
+        # pass at every joint scale.
         A = module_matrix(cells)
-        task, pushed = vertex_probes(A)
+        task, pushed, banded = vertex_probes(A)
         outcomes = []
         for k in (2.0 ** -3, 1.0, 2.0 ** 3):
             scale = k * np.linalg.norm(A, axis=0).max()
-            verdicts = task_verdicts(A, k * task, k)
+            verdicts, lam, _ = task_capacity(A, k * task, k)
             report = evaluate_task_trace(A, k * task, k, fallback=True)
-            for row, ok in zip(report.rows, verdicts):
+            for row, ok, lam_i in zip(report.rows, verdicts, lam):
                 assert np.all(row.input >= 0.0) and np.all(row.input <= k)
                 if ok:
-                    assert not row.saturated and row.error <= 1e-12 * scale
+                    shortfall = max(0.0, np.linalg.norm(row.desired) - lam_i)
+                    assert shortfall <= BOUNDARY_TOL * scale
+                    assert not row.saturated and row.error <= shortfall + 1e-12 * scale
                 else:
                     assert row.saturated or row.error > 1e-6 * scale
-            assert not verdicts[pushed].any()
+            assert np.array_equal(verdicts, task_verdicts(A, k * task, k))
+            assert not verdicts[pushed].any() and verdicts[banded].all()
             outcomes.append((verdicts.tolist(), [row.saturated for row in report.rows]))
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_rows_the_batched_solve_stalls_on(self):
+        # Three vertices of the L pushed 1e-8 outward, on which the batched
+        # solve hits its iteration limit, beside an interior wrench.  The
+        # fallback solves the rows alone and rejects the pushed ones; the
+        # interior one is still reproduced.
+        A = module_matrix(L_TROMINO)
+        N = np.random.default_rng(0).normal(size=(100, 6))
+        N /= np.linalg.norm(N, axis=1)[:, None]
+        task = np.array([A @ (n @ A > 0) + 1e-8 * n for n in N[[3, 45, 67]]]
+                        + [A @ np.full(12, 0.5)])
+        with pytest.raises(RuntimeError):
+            task_verdicts(A, task, 1.0)
+        report = evaluate_task_trace(A, task, 1.0, fallback=True)
+        scale = np.linalg.norm(A, axis=0).max()
+        for row in report.rows[:3]:
+            assert row.saturated or row.error > 1e-6 * scale
+        assert not report.rows[3].saturated and report.rows[3].error <= 1e-12 * scale
 
 
 class TestRandomTask:

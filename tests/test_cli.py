@@ -261,18 +261,35 @@ class TestAllocate:
         task = write_task_file(tmp_path, [A @ rng.uniform(0, 1, 8) for _ in range(5)])
         assert main(["allocate", str(sf), task, "--fallback"]) == 0
 
-    def test_fallback_agrees_with_check_near_a_vertex(self, tmp_path):
-        # A vertex of the L pushed 2e-9 outward, beside an interior wrench:
-        # check rejects it, so the fallback must not reproduce it either.
+    @pytest.mark.parametrize("rows", [1, 2], ids=["alone", "batched"])
+    def test_fallback_agrees_with_check_near_a_vertex(self, rows, tmp_path):
+        # A vertex of the L pushed 2e-9 outward, alone (the scalar solve) or
+        # beside an interior wrench (the batched one): check rejects it, so
+        # the fallback must not reproduce it either.
         cfg = StructureConfig(frozenset({(0, 0), (1, 0), (0, 1)}))
         sf = tmp_path / "l.txt"
         write_structure(sf, cfg)
         A = configuration_matrix(cfg)
         n = np.random.default_rng(3).normal(size=6)
         n /= np.linalg.norm(n)
-        task = write_task_file(tmp_path, [A @ (n @ A > 0) + 2e-9 * n, A @ np.full(12, 0.5)])
+        task = write_task_file(tmp_path, [A @ (n @ A > 0) + 2e-9 * n, A @ np.full(12, 0.5)][:rows])
         assert main(["check", str(sf), task]) == 1
         assert main(["allocate", str(sf), task, "--fallback"]) == 1
+
+    def test_fallback_answers_rows_the_batched_solve_stalls_on(self, tmp_path):
+        # Vertices of the L pushed 1e-8 outward, on which the batched solve
+        # hits its iteration limit: the report still covers every row.
+        cfg = StructureConfig(frozenset({(0, 0), (1, 0), (0, 1)}))
+        sf = tmp_path / "l.txt"
+        write_structure(sf, cfg)
+        A = configuration_matrix(cfg)
+        N = np.random.default_rng(0).normal(size=(100, 6))
+        N /= np.linalg.norm(N, axis=1)[:, None]
+        task = write_task_file(tmp_path, [A @ (n @ A > 0) + 1e-8 * n for n in N[[3, 45, 67]]])
+        report = tmp_path / "report.txt"
+        assert main(["allocate", str(sf), task, "--fallback", "--out", str(report)]) == 1
+        assert len([line for line in report.read_text().splitlines()
+                    if not line.startswith("#")]) == 3
 
     @pytest.mark.parametrize("wrench, fallback", [
         ([0, 0, 8.5, 0, 0, 0], True),     # three times the vertical capacity

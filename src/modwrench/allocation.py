@@ -9,7 +9,8 @@ capacity solve, `lp.task_capacity`: A U* = lambda* w/|w| with U* in the
 box, so u = U* min(1, |w| / lambda*) is in the box and misses w by the
 shortfall max(0, |w| - lambda*) plus round-off.  An accepted wrench falls
 short by at most lp.BOUNDARY_TOL * f_max * max|a_i|, so that bounds its
-error too.
+error too.  Clamping flags saturation beyond SATURATION_TOL * f_max, a band
+that scales with f_max like the round-off of the inputs it forgives.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import lp
 
 # Singular values below this fraction of the largest are treated as zero.
 PINV_RCOND = 1e-10
-# Elementwise change larger than this counts as saturation.
+# Elementwise change larger than this, per unit of f_max, counts as saturation.
 SATURATION_TOL = 1e-12
 
 
@@ -58,10 +59,10 @@ def min_norm_allocation(A, w) -> np.ndarray:
 
 
 def truncate_input(u, f_max: float):
-    """Clamp thrusts into [0, f_max]; flags whether anything moved."""
+    """Clamp thrusts into [0, f_max]; flags whether anything moved by more than round-off."""
     u = np.asarray(u, dtype=float)
     clamped = np.clip(u, 0.0, float(f_max))
-    saturated = bool(np.any(np.abs(clamped - u) > SATURATION_TOL))
+    saturated = bool(np.any(np.abs(clamped - u) > SATURATION_TOL * f_max))
     return clamped, saturated
 
 

@@ -19,26 +19,26 @@ phase 1, and this is the only LP the package solves: the allocator's
 fallback reads its in-box inputs off the same capacity solve.  Every band
 is relative to the scale of the problem (f_max * max|a_i| for magnitudes,
 f_max for ratio-test steps), so no verdict changes when f_max and the task
-are rescaled together.  `max_lambda` solves one direction from that start
-with `_simplex`.  A task of several wrenches is checked in one batched
-solve, `max_lambda_many`, with the same start, pricing and switch to
-Bland's rule: each wrench gets its own simplex over the same columns, the
-K bases and their inverses are stacked, and every pivot is one numpy step
-across the batch, with B^-1 kept by rank-one (eta) updates and refactored
-from the basis columns every _REFACTOR_EVERY pivots.  `task_capacity`
-answers every wrench of a task this way for `check` and the allocator's
-fallback alike; a one-wrench task takes the scalar route, which is faster
-for a single direction.
+are rescaled together.  Every query has one front end: `_setup`
+validates the input and sets the zero-wrench cut and the boundary band,
+`_capacity` projects the directions onto range(A), and `_solve` picks the
+kernel by row count.  One direction takes `_simplex`, the faster for a
+single row; several take `_max_lambda_batch`, with the same start, pricing
+and switch to Bland's rule: each wrench gets its own simplex over the same
+columns, the K bases and their inverses are stacked, and every pivot is
+one numpy step across the batch, with B^-1 kept by rank-one (eta) updates
+and refactored from the basis columns every _REFACTOR_EVERY pivots.
 
 A search needs only to know whether some wrench fails, and how.
-`separating_normal` runs the same batch but stops it at the first problem
-that is optimal and short of |w| minus the boundary band, and settles a
-problem as soon as its lambda, solved from the basis columns, reaches |w|.
-The failing problem's dual y gives the unit normal n = -y / |y| (mapped
-back from range(A) on a rank-deficient A) with n . w > h_A(n), h_A being
-the support function f_max * sum_i max(0, n . a_i) of the wrench set
-(LP duality: Bertsimas & Tsitsiklis, ch. 4).  `task_verdicts` keeps full
-solves, since `check` prints every verdict.
+`separating_normal` runs the same solve but stops it at the first problem
+that is optimal and short of |w| minus the boundary band; a batch also
+settles a problem as soon as its lambda, solved from the basis columns,
+reaches |w|.  The failing problem's dual y, read off its final basis,
+gives the unit normal n = -y / |y| (mapped back from range(A) on a
+rank-deficient A) with n . w > h_A(n), h_A being the support function
+f_max * sum_i max(0, n . a_i) of the wrench set (LP duality: Bertsimas &
+Tsitsiklis, ch. 4).  `task_verdicts` keeps full solves, since `check`
+prints every verdict.
 """
 
 from __future__ import annotations
@@ -153,73 +153,101 @@ def _simplex(A, b, c, lower, upper, basis, at_upper, tie):
     raise RuntimeError("simplex iteration limit exceeded")
 
 
+def _setup(A, task, f_max: float):
+    """Validate a query; return (A, task, norms, live, band), one task wrench per row.
+
+    `live` indexes the wrenches beyond ZERO_WRENCH_TOL * f_max * max|a_i| of
+    zero, which pass outright; `band` is BOUNDARY_TOL * f_max * max|a_i|.
+    """
+    A = np.asarray(A, dtype=float)
+    task = np.atleast_2d(np.asarray(task, dtype=float))
+    if A.ndim != 2 or task.ndim != 2 or task.shape[1] != A.shape[0]:
+        raise ValueError("wrench size must match the rows of A")
+    if not (np.isfinite(f_max) and f_max > 0):
+        raise ValueError("f_max must be positive")
+    norms = np.linalg.norm(task, axis=1)
+    scale = f_max * float(np.linalg.norm(A, axis=0).max())
+    return A, task, norms, np.flatnonzero(norms > ZERO_WRENCH_TOL * scale), BOUNDARY_TOL * scale
+
+
 def max_lambda(A, w_hat, f_max: float):
     """Largest magnitude lambda with A @ u = lambda * w_hat, 0 <= u <= f_max.
 
     w_hat must be a unit 6-vector.  Returns (lambda_star, u_star); u = 0 makes
-    lambda = 0 feasible, so lambda_star >= 0 always, and _simplex starts
-    there with one artificial per row basic and pinned to [0, 0].
+    lambda = 0 feasible, so lambda_star >= 0 always.  The one-row case of
+    max_lambda_many.
     """
-    A = np.asarray(A, dtype=float)
-    w_hat = np.asarray(w_hat, dtype=float)
-    if w_hat.shape != (A.shape[0],):
-        raise ValueError("direction size must match the wrench dimension")
-    if abs(np.linalg.norm(w_hat) - 1.0) > 1e-9:
-        raise ValueError("direction must have unit norm")
-    if not (np.isfinite(f_max) and f_max > 0):
-        raise ValueError("f_max must be positive")
-    n = A.shape[1]
-    _, A, W, off = _range_coordinates(A, w_hat[None])
-    if np.linalg.norm(off) > RANGE_TOL:
-        return 0.0, np.zeros(n)
-    m = A.shape[0]
-    c = np.zeros(n + 1 + m)
-    c[n] = 1.0
-    upper = np.concatenate([np.full(n, float(f_max)), [np.inf], np.zeros(m)])
-    x = _simplex(np.hstack([A, -W.T, np.eye(m)]), np.zeros(m), c, np.zeros(n + 1 + m), upper,
-                 np.arange(n + 1, n + 1 + m), np.zeros(n + 1 + m, dtype=bool), _TIE_TOL * f_max)
-    return float(x[n]), x[:n]
+    lam, U = max_lambda_many(A, np.asarray(w_hat, dtype=float)[None], f_max)
+    return float(lam[0]), U[0]
 
 
 def max_lambda_many(A, W_hat, f_max: float):
     """max_lambda for every row of W_hat at once; returns (lambda_star (k,), U (k, n)).
 
-    Each row must be a unit 6-vector.  The range(A) projection is the one
-    of max_lambda: a row that leaves range(A) gets lambda = 0 and u = 0.
+    Each row must be a unit 6-vector.  A row that leaves range(A) gets
+    lambda = 0 and u = 0.
     """
-    A = np.asarray(A, dtype=float)
-    W = np.atleast_2d(np.asarray(W_hat, dtype=float))
-    if W.ndim != 2 or W.shape[1] != A.shape[0]:
-        raise ValueError("direction size must match the wrench dimension")
-    if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > 1e-9):
+    A, W, norms, _, _ = _setup(A, W_hat, f_max)
+    if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError("direction must have unit norm")
-    if not (np.isfinite(f_max) and f_max > 0):
-        raise ValueError("f_max must be positive")
-    lam = np.zeros(W.shape[0])
-    U = np.zeros((W.shape[0], A.shape[1]))
-    _, A_range, W_range, off = _range_coordinates(A, W)
-    rows = np.flatnonzero(np.linalg.norm(off, axis=1) <= RANGE_TOL)
-    if rows.size:
-        lam[rows], U[rows] = _max_lambda_batch(A_range, W_range[rows], float(f_max))
-    return lam, U
+    return _capacity(A, W, float(f_max))
 
 
-def _range_coordinates(A, W):
-    """The projection of A and of every row of W onto range(A), for the lambda queries.
+def _capacity(A, W, f_max, stop=None):
+    """(lambda_star, U) of the unit rows W, in range(A); with `stop`, separating_normal's hit.
 
-    The rows of a rank-deficient A are dependent, which leaves the simplex
-    pivoting on round-off; in range(A) they are not.  Returns (Q, A_range,
-    W_range, off).  Q is an orthonormal basis of range(A), or None when A
-    has full row rank and nothing is projected; A_range and W_range are A
-    and W in the coordinates of Q; off holds the part of each row of W off
-    range(A).
+    A rank-deficient A has dependent rows, on which the simplex pivots on
+    round-off, so A and W are projected onto range(A); a row off it gets
+    lambda = 0 and u = 0.  `stop` = (need, enough) per row is that of
+    _max_lambda_batch, and a row off range(A) with need > 0 fails first.
     """
     Q, s, _ = np.linalg.svd(A, full_matrices=False)
     Q = Q[:, s > RANGE_TOL * s[0]]
     if Q.shape[1] == A.shape[0]:
-        return None, A, W, np.zeros_like(W)
-    W_range = W @ Q
-    return Q, Q.T @ A, W_range, W - W_range @ Q.T
+        Q, on = None, np.arange(W.shape[0])
+    else:
+        W_range = W @ Q
+        off = W - W_range @ Q.T
+        off_norm = np.linalg.norm(off, axis=1)
+        if stop is not None and ((off_norm > RANGE_TOL) & (stop[0] > 0)).any():
+            i = int(np.argmax(np.where(stop[0] > 0, off_norm, 0.0)))
+            return i, off[i] / off_norm[i]
+        on = np.flatnonzero(off_norm <= RANGE_TOL)
+        A, W = Q.T @ A, W_range
+    if stop is None:
+        if on.size == W.shape[0]:
+            return _solve(A, W, f_max)
+        lam, U = np.zeros(W.shape[0]), np.zeros((W.shape[0], A.shape[1]))
+        lam[on], U[on] = _solve(A, W[on], f_max)
+        return lam, U
+    hit = _solve(A, W[on], f_max, (stop[0][on], stop[1][on]))
+    if hit is None:
+        return None
+    i, y = hit
+    n = -y if Q is None else Q @ -y
+    return int(on[i]), n / np.linalg.norm(n)
+
+
+def _solve(A, W, f_max, stop=None):
+    """_max_lambda_batch, or _simplex for a single row: the one choice of kernel.
+
+    A short single row's dual solves B^T y = c_B, B being the final basis.
+    """
+    if W.shape[0] != 1:
+        return _max_lambda_batch(A, W, f_max, stop)
+    m, n = A.shape
+    tableau = np.hstack([A, -W.T, np.eye(m)])
+    c = np.zeros(n + 1 + m)
+    c[n] = 1.0
+    upper = np.concatenate([np.full(n, f_max), [np.inf], np.zeros(m)])
+    basis = np.arange(n + 1, n + 1 + m)
+    x = _simplex(tableau, np.zeros(m), c, np.zeros(n + 1 + m), upper, basis,
+                 np.zeros(n + 1 + m, dtype=bool), _TIE_TOL * f_max)
+    if stop is None:
+        return x[n:n + 1], x[None, :n]
+    if x[n] >= stop[0][0]:
+        return None
+    return 0, np.linalg.solve(tableau[:, basis].T, c[basis])
 
 
 def _max_lambda_batch(A, W, f_max, stop=None):
@@ -349,19 +377,7 @@ def satisfies_wrench(A, w, f_max: float) -> bool:
     The capacity along w may fall short of |w| by BOUNDARY_TOL * f_max * max|a_i|,
     and a wrench within ZERO_WRENCH_TOL * f_max * max|a_i| of zero passes.
     """
-    return bool(_wrench_capacity(A, w, f_max)[0])
-
-
-def _wrench_capacity(A, w, f_max: float):
-    """(ok, lam, u) of one wrench, from max_lambda; the one-row case of task_capacity."""
-    A = np.asarray(A, dtype=float)
-    w = np.asarray(w, dtype=float)
-    norm = float(np.linalg.norm(w))
-    scale = f_max * float(np.linalg.norm(A, axis=0).max())
-    if norm <= ZERO_WRENCH_TOL * scale:
-        return True, 0.0, np.zeros(A.shape[1])
-    lam, u = max_lambda(A, w / norm, f_max)
-    return lam >= norm - BOUNDARY_TOL * scale, lam, u
+    return bool(task_capacity(A, np.asarray(w, dtype=float)[None], f_max)[0][0])
 
 
 def task_capacity(A, task, f_max: float):
@@ -369,24 +385,14 @@ def task_capacity(A, task, f_max: float):
 
     Returns (ok, lam, U), one row per wrench.  A wrench within
     ZERO_WRENCH_TOL * f_max * max|a_i| of zero passes with lam = 0 and
-    U = 0.  The others get lam and U along w / |w|, from max_lambda for a
-    one-row task and from one max_lambda_many solve for a longer one, and
+    U = 0.  The others get lam and U along w / |w|, all from one solve, and
     pass when lam >= |w| - BOUNDARY_TOL * f_max * max|a_i|.
     """
-    task = np.atleast_2d(np.asarray(task, dtype=float))
-    if task.shape[0] == 1:
-        ok, lam, u = _wrench_capacity(A, task[0], f_max)
-        return np.array([ok]), np.array([lam]), u[None]
-    A = np.asarray(A, dtype=float)
-    norms = np.linalg.norm(task, axis=1)
-    scale = f_max * float(np.linalg.norm(A, axis=0).max())
-    ok = norms <= ZERO_WRENCH_TOL * scale
+    A, task, norms, live, band = _setup(A, task, f_max)
     lam, U = np.zeros(task.shape[0]), np.zeros((task.shape[0], A.shape[1]))
-    rows = np.flatnonzero(~ok)
-    if rows.size:
-        lam[rows], U[rows] = max_lambda_many(A, task[rows] / norms[rows, None], f_max)
-        ok[rows] = lam[rows] >= norms[rows] - BOUNDARY_TOL * scale
-    return ok, lam, U
+    lam[live], U[live] = _capacity(A, task[live] / norms[live, None], float(f_max))
+    # The zero-wrench cut lies inside the band, so lam = 0 passes those rows.
+    return lam >= norms - band, lam, U
 
 
 def task_verdicts(A, task, f_max: float) -> np.ndarray:
@@ -398,40 +404,19 @@ def separating_normal(A, task, f_max: float):
     """A task wrench outside the wrench set of A, with a unit normal that separates it.
 
     Returns None when every wrench passes, else (i, n): wrench i fails and
-    n . w_i > h_A(n) = f_max * sum_j max(0, n . a_j).  On a task of two or
-    more rows the verdict is that of task_verdicts, band included.  A row
-    off range(A) gives its residual direction.  The others share one
-    batched solve that ends at the first problem found optimal and short of
-    |w| - band, whose dual y gives n = -y (mapped back to six coordinates
-    on a rank-deficient A): at that optimum n . w_hat = 1 and
-    h_A(n) = lambda*, so n . w - h_A(n) = |w| - lambda*, up to the
-    reduced-cost tolerance, before n is scaled to unit length.  A problem
-    whose lambda reaches |w| is settled, so a task that passes stops
-    pivoting early too.  Row i need not be the smallest failing index.
+    n . w_i > h_A(n) = f_max * sum_j max(0, n . a_j).  The verdict is that
+    of task_verdicts, band included.  A row off range(A) gives its residual
+    direction.  The others share one solve that ends at the first problem
+    found optimal and short of |w| - band, whose dual y gives n = -y
+    (mapped back to six coordinates on a rank-deficient A): at that optimum
+    n . w_hat = 1 and h_A(n) = lambda*, so n . w - h_A(n) = |w| - lambda*,
+    up to the reduced-cost tolerance, before n is scaled to unit length.
+    Row i need not be the smallest failing index.
     """
-    A = np.asarray(A, dtype=float)
-    task = np.atleast_2d(np.asarray(task, dtype=float))
-    if not (np.isfinite(f_max) and f_max > 0):
-        raise ValueError("f_max must be positive")
-    norms = np.linalg.norm(task, axis=1)
-    scale = f_max * float(np.linalg.norm(A, axis=0).max())
-    rows = np.flatnonzero(norms > ZERO_WRENCH_TOL * scale)
-    Q, A_range, W_range, off = _range_coordinates(A, task[rows] / norms[rows, None])
-    need = norms[rows] - BOUNDARY_TOL * scale
-    off_norm = np.linalg.norm(off, axis=1)
-    unreachable = np.flatnonzero((off_norm > RANGE_TOL) & (need > 0))
-    if unreachable.size:
-        i = unreachable[np.argmax(off_norm[unreachable])]
-        return int(rows[i]), off[i] / off_norm[i]
-    on = np.flatnonzero(off_norm <= RANGE_TOL)
-    if not on.size:
-        return None
-    hit = _max_lambda_batch(A_range, W_range[on], float(f_max), (need[on], norms[rows[on]]))
-    if hit is None:
-        return None
-    i, y = hit
-    n = -y if Q is None else Q @ -y
-    return int(rows[on[i]]), n / np.linalg.norm(n)
+    A, task, norms, live, band = _setup(A, task, f_max)
+    hit = _capacity(A, task[live] / norms[live, None], float(f_max),
+                    (norms[live] - band, norms[live]))
+    return None if hit is None else (int(live[hit[0]]), hit[1])
 
 
 def satisfies_task(A, task, f_max: float):

@@ -25,8 +25,8 @@ without a matrix build or a check.  Skipped designs still count in
 `evaluations`, and skipped levels are still grown, so the counts and result
 files are the same as with every design checked.
 
-On a task of two or more wrenches, each search also keeps the unit
-normals that separated a failing wrench from the wrench set of a design it
+On every task, of any length, each search also keeps the unit normals
+that separated a failing wrench from the wrench set of a design it
 checked: the LP's dual at the first short wrench, or the hull's most
 violated facet.  By weak duality a normal n rules out the wrench w for any
 design whose support value h_A(n) = f_max * sum_i max(0, n . a_i) falls
@@ -117,20 +117,13 @@ class _SeparatingNormals:
 
 
 def _make_checker(task, checker: str):
-    """Task check of one search; a task of two or more wrenches shares a normal cache.
+    """Task check of one search, sharing one normal cache across its designs.
 
     A design the cached normals rule out fails without a solve or a hull
     build.  Every other design gets a full check, and when it fails, the
-    normal that separates its failing wrench joins the cache.  A one-wrench
-    task keeps the plain check.
+    normal that separates its failing wrench joins the cache.
     """
     task = np.atleast_2d(np.asarray(task, dtype=float))
-    if task.shape[0] == 1:
-        if checker == "lp":
-            return lambda config: lp.satisfies_task(
-                configuration_matrix(config), task, config.params.f_max)[0]
-        return lambda config: hull.satisfies_task_hull(
-            configuration_matrix(config), task, config.params.f_max)
     cache = _SeparatingNormals(task)
     norms = np.linalg.norm(task, axis=1)
 

@@ -173,6 +173,19 @@ class TestFallback:
             outcomes.append((verdicts.tolist(), [row.saturated for row in report.rows]))
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
+    @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("cells", [{(0, 0), (1, 0)}, L_TROMINO], ids=["1x2", "L"])
+    def test_in_box_wrenches_read_unsaturated_at_every_scale(self, cells, f_max):
+        # Images of thrusts with many components on a bound.  The capacity
+        # solve puts such a component on the bound up to round-off, which
+        # grows with f_max, so the saturation band must grow with it.
+        A = module_matrix(cells, f_max=f_max)
+        rng = np.random.default_rng(0)
+        U = f_max * np.clip(rng.uniform(-0.3, 1.3, size=(200, A.shape[1])), 0.0, 1.0)
+        report = evaluate_task_trace(A, U @ A.T, f_max, fallback=True)
+        assert not report.any_saturated
+        assert report.max_error <= 1e-12 * f_max * np.linalg.norm(A, axis=0).max()
+
     def test_rows_the_batched_solve_stalls_on(self):
         # Three vertices of the L pushed 1e-8 outward, on which the batched
         # solve hits its iteration limit, beside an interior wrench.  The

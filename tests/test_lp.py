@@ -265,7 +265,8 @@ class TestMaxLambdaMany:
     @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("cells", BATCH_STRUCTURES, ids=len)
     def test_scalar_matches_batch(self, cells, f_max):
-        # Same start, same pricing: a batch of one ends on the scalar lambda.
+        # Same start, same pricing: a batch ends on the scalar lambda.  One
+        # row alone takes the scalar kernel, so the batch holds two copies.
         A = configuration_matrix(StructureConfig(frozenset(cells), ModuleParams(f_max=f_max)))
         scale = f_max * np.linalg.norm(A, axis=0).max()
         task = mixed_task(A, f_max, seed=len(cells))
@@ -273,7 +274,7 @@ class TestMaxLambdaMany:
                        np.random.default_rng(len(cells)).normal(size=(8, 6))])
         W /= np.linalg.norm(W, axis=1, keepdims=True)
         for w in W:
-            assert abs(max_lambda(A, w, f_max)[0] - max_lambda_many(A, [w], f_max)[0][0]) \
+            assert abs(max_lambda(A, w, f_max)[0] - max_lambda_many(A, [w, w], f_max)[0][0]) \
                 <= 1e-12 * scale
 
     def test_one_batch_against_highs(self):
@@ -298,7 +299,8 @@ class TestMaxLambdaMany:
 def early_exit_tasks(A, f_max, seed):
     """Tasks that pass, fail on their first row, fail on their last row, and leave range(A).
 
-    One task fails on a last row only 1e-6 beyond the capacity along it.
+    One task fails on a last row only 1e-6 beyond the capacity along it;
+    that row alone, and a passing row alone, are one-row tasks.
     """
     task = mixed_task(A, f_max, seed)
     ok = task_verdicts(A, task, f_max)
@@ -306,7 +308,8 @@ def early_exit_tasks(A, f_max, seed):
     w_hat = passing[0] / np.linalg.norm(passing[0])
     tight = (1 + 1e-6) * max_lambda(A, w_hat, f_max)[0] * w_hat
     tasks = [task, task[::-1], passing, np.vstack([failing[:1], passing]),
-             np.vstack([passing, failing[-1:]]), np.vstack([passing, tight])]
+             np.vstack([passing, failing[-1:]]), np.vstack([passing, tight]),
+             passing[:1], tight[None]]
     if np.linalg.matrix_rank(A) < 6:
         tasks.append(np.vstack([passing, task[2:3], passing[:1]]))  # task[2] is off range(A)
     return tasks

@@ -421,8 +421,9 @@ class TestSearchWithForceBound:
             assert same_result(ea, eb) and same_result(ha, hb)
 
     def test_unsatisfiable_step_runs_no_lp(self, monkeypatch):
-        # A one-wrench task takes the scalar solve, a longer one the batched
-        # solve behind separating_normal; neither may run on a skipped level.
+        # Both tasks go through separating_normal, the one-wrench task on the
+        # scalar solve and the longer one batched; neither may run on a
+        # skipped level.
         calls = []
         for name in ("max_lambda", "max_lambda_many", "separating_normal"):
             solve = getattr(lp, name)
@@ -551,12 +552,14 @@ class TestSeparatingNormalCache:
     @pytest.mark.parametrize("checker", ["lp", "hull"])
     def test_results_equal_without_the_cache(self, checker, monkeypatch):
         # Each checker gets a satisfied and an unsatisfied exhaustive search
-        # in which the cache rejects designs.  The hull route stops at 3
-        # modules, with 40% less lift, to keep its builds off the clock.
+        # in which the cache rejects designs, then a one-wrench task on which
+        # it rejects designs too.  The hull route stops at 3 modules, with 40%
+        # less lift, to keep its builds off the clock.
         if checker == "lp":
             tasks, n_max = [torque_task(0.6, 2), torque_task(1.0, 2)], 3
         else:
             tasks, n_max = [torque_task(t, 3) * [1, 1, 0.6, 1, 1, 1] for t in (0.3, 1.0)], 2
+        tasks.append(tasks[1][2:3])
         hits = []
         rejects = search._SeparatingNormals.rejects
 
@@ -565,7 +568,10 @@ class TestSeparatingNormalCache:
             return hits[-1]
 
         monkeypatch.setattr(search._SeparatingNormals, "rejects", spy)
-        cached = run_both(tasks, checker, n_max)
+        cached = run_both(tasks[:-1], checker, n_max)
+        assert any(hits)
+        hits.clear()
+        cached += run_both(tasks[-1:], checker, n_max)
         assert any(hits)
         monkeypatch.setattr(search._SeparatingNormals, "add", lambda self, normal: None)
         uncached = run_both(tasks, checker, n_max)

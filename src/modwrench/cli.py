@@ -104,12 +104,10 @@ def cmd_allocate(args) -> int:
     A = configuration_matrix(config)
     report = allocation.evaluate_task_trace(A, task, config.params.f_max,
                                             fallback=args.fallback)
-    text = fileio.format_allocation_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fileio.write_allocation_report(args.out, report)
     else:
-        print(text, end="")
+        print(fileio.format_allocation_report(report), end="")
     # The error bound is relative to f_max * max|a_i|, like lp's tolerances.
     scale = config.params.f_max * float(np.linalg.norm(A, axis=0).max())
     ok = not report.any_saturated and report.max_error <= 1e-6 * scale
@@ -188,26 +186,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Typed errors and their exit codes, matched in order: AsymmetricSeedError
+# is a StructureError, so it comes first.
+_ERROR_EXITS = (
+    (fileio.ParseError, EXIT_PARSE),
+    (AsymmetricSeedError, EXIT_ASYMMETRIC),
+    (hull.CapacityError, EXIT_CAPACITY),
+    (StructureError, EXIT_STRUCTURE),
+    (OSError, EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except fileio.ParseError as exc:
+    except tuple(kind for kind, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AsymmetricSeedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASYMMETRIC
-    except hull.CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except StructureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 def entry() -> None:

@@ -1,40 +1,36 @@
-"""Linear programming over box-bounded variables with a few equality rows.
+"""The capacity LP: how far the thrust box reaches along a wrench direction.
 
-The solver, `_simplex`, is a dense bounded-variable revised simplex
-specialised for the problem class used throughout this package: a few
-equality rows, finite lower bounds, optional finite upper bounds.
-Entering variables are priced by steepest reduced cost, with an automatic
-switch to Bland's smallest-index rule after a run of degenerate pivots, so
-every solve is deterministic and termination is guaranteed (Bertsimas &
-Tsitsiklis, Introduction to Linear Optimization, ch. 3).
+The only LP in the package is max lambda s.t. A u - lambda w + a = 0 over
+u in [0, f_max], lambda >= 0 and one artificial a per row pinned to [0, 0].
+It starts feasible at u = 0, lambda = 0 with the artificials basic, so
+there is no phase 1.  On top of it sit the wrench-satisfiability queries:
+the maximum achievable magnitude along a wrench direction under the thrust
+box, the per-wrench and per-task verdicts, and the zero-torque force
+variant; the allocator's fallback reads its in-box inputs off the same
+solve.  Every band is relative to the scale of the problem (f_max *
+max|a_i| for magnitudes, f_max for ratio-test steps), so no verdict changes
+when f_max and the task are rescaled together.
 
-On top of the solver sit the wrench-satisfiability queries: the maximum
-achievable magnitude along a wrench direction under the thrust box, the
-per-wrench and per-task verdicts, and the zero-torque force variant.
-
-Every lambda query starts feasible: max lambda s.t. A u - lambda w + a = 0,
-u in [0, f_max], lambda >= 0 and one artificial a per row pinned to [0, 0]
-holds at u = 0, lambda = 0 with the artificials basic, so there is no
-phase 1, and this is the only LP the package solves: the allocator's
-fallback reads its in-box inputs off the same capacity solve.  Every band
-is relative to the scale of the problem (f_max * max|a_i| for magnitudes,
-f_max for ratio-test steps), so no verdict changes when f_max and the task
-are rescaled together.  Every query has one front end: `_setup`
-validates the input and sets the zero-wrench cut and the boundary band,
-`_capacity` projects the directions onto range(A), and `_solve` picks the
-kernel by row count.  One direction takes `_simplex`, the faster for a
-single row; several take `_max_lambda_batch`, with the same start, pricing
-and switch to Bland's rule: each wrench gets its own simplex over the same
-columns, the K bases and their inverses are stacked, and every pivot is
-one numpy step across the batch, with B^-1 kept by rank-one (eta) updates
-and refactored from the basis columns every _REFACTOR_EVERY pivots.
+Every query has one front end: `_setup` validates the input and sets the
+zero-wrench cut and the boundary band, and `_capacity` projects the
+directions onto range(A) and picks the kernel by row count.  The two
+kernels share one contract, `(A, W, f_max, stop=None)`, and one set of
+rules: a dense bounded-variable revised simplex priced by steepest reduced
+cost, with a switch to Bland's smallest-index rule after a run of
+degenerate pivots, so every solve is deterministic and terminates
+(Bertsimas & Tsitsiklis, Introduction to Linear Optimization, ch. 3).
+`_max_lambda_batch` gives each wrench its own simplex over the same
+columns, stacks the K bases and their inverses, and makes every pivot one
+numpy step across the batch, with B^-1 kept by rank-one (eta) updates and
+refactored from the basis columns every _REFACTOR_EVERY pivots.
+`_simplex` solves a single row, for which it is the faster.
 
 A search needs only to know whether some wrench fails, and how.
 `separating_normal` runs the same solve but stops it at the first problem
 that is optimal and short of |w| minus the boundary band; a batch also
 settles a problem as soon as its lambda, solved from the basis columns,
-reaches |w|.  The failing problem's dual y, read off its final basis,
-gives the unit normal n = -y / |y| (mapped back from range(A) on a
+reaches |w|.  The failing problem's dual y, the one that priced its final
+basis, gives the unit normal n = -y / |y| (mapped back from range(A) on a
 rank-deficient A) with n . w > h_A(n), h_A being the support function
 f_max * sum_i max(0, n . a_i) of the wrench set (LP duality: Bertsimas &
 Tsitsiklis, ch. 4).  `task_verdicts` keeps full solves, since `check`
@@ -65,92 +61,6 @@ _TIE_TOL = 1e-12
 # Pivots between refactorizations of the stacked basis inverses of
 # max_lambda_many; the eta updates in between accumulate round-off.
 _REFACTOR_EVERY = 32
-
-
-def _simplex(A, b, c, lower, upper, basis, at_upper, tie):
-    """Run bounded-variable simplex iterations in place; return basic values.
-
-    `basis` and `at_upper` are updated in place.  Maximizes c @ x.  Entering
-    variables are priced by steepest reduced cost; after a run of degenerate
-    pivots the rule falls back to Bland's smallest-index rule until progress
-    resumes, which rules out cycling.  Both rules are deterministic.  In the
-    ratio test, steps within `tie` of the shortest one tie and the smallest
-    variable index wins; a step of at most `tie` counts as degenerate.
-    Raises RuntimeError when an improving ray has no blocking bound.
-    """
-    m, n = A.shape
-    fixed = (upper - lower) <= 0.0
-    is_basic = np.zeros(n, dtype=bool)
-    is_basic[basis] = True
-    finite_upper = np.where(np.isfinite(upper), upper, 0.0)
-    max_iter = 2000 + 200 * (n + m)
-    stalled = 0
-    for _ in range(max_iter):
-        x_nb = np.where(at_upper & ~is_basic, finite_upper, lower)
-        x_nb[is_basic] = 0.0
-        if m:
-            try:
-                b_inv = np.linalg.inv(A[:, basis])
-            except np.linalg.LinAlgError as exc:  # guarded by the pivot tolerance
-                raise RuntimeError("singular simplex basis") from exc
-            x_b = b_inv @ (b - A @ x_nb)
-            d = c - (c[basis] @ b_inv) @ A
-        else:
-            x_b = np.zeros(0)
-            d = c
-        gain = np.where(at_upper, -d, d)
-        gain[is_basic | fixed] = 0.0
-        candidates = np.nonzero(gain > _RCOST_TOL)[0]
-        if candidates.size == 0:
-            x = x_nb.copy()
-            x[basis] = x_b
-            return x
-        if stalled > 2 * (m + 2):
-            j = int(candidates[0])  # Bland: smallest improving index
-        else:
-            j = int(candidates[np.argmax(gain[candidates])])
-        sigma = -1.0 if at_upper[j] else 1.0
-        step = sigma * (b_inv @ A[:, j]) if m else np.zeros(0)
-        # Ratio test: smallest step before a basic variable or the entering
-        # variable itself hits a bound; ties broken by variable index.
-        best = upper[j] - lower[j]
-        best_var = j
-        best_row = -1
-        best_hit_upper = False
-        for i in range(m):
-            s = step[i]
-            var = basis[i]
-            if s > _PIVOT_TOL:
-                lim = (x_b[i] - lower[var]) / s
-                hit_upper = False
-            elif s < -_PIVOT_TOL:
-                ub = upper[var]
-                if not np.isfinite(ub):
-                    continue
-                lim = (ub - x_b[i]) / (-s)
-                hit_upper = True
-            else:
-                continue
-            if lim < 0.0:
-                lim = 0.0
-            if lim < best - tie or (lim <= best + tie and var < best_var):
-                best = lim
-                best_var = var
-                best_row = i
-                best_hit_upper = hit_upper
-        if not np.isfinite(best):
-            raise RuntimeError("simplex ended unbounded")
-        stalled = stalled + 1 if best <= tie else 0
-        if best_row < 0:
-            at_upper[j] = not at_upper[j]  # bound flip, basis unchanged
-        else:
-            leave = basis[best_row]
-            at_upper[leave] = best_hit_upper
-            is_basic[leave] = False
-            basis[best_row] = j
-            is_basic[j] = True
-            at_upper[j] = False
-    raise RuntimeError("simplex iteration limit exceeded")
 
 
 def _setup(A, task, f_max: float):
@@ -200,6 +110,7 @@ def _capacity(A, W, f_max, stop=None):
     round-off, so A and W are projected onto range(A); a row off it gets
     lambda = 0 and u = 0.  `stop` = (need, enough) per row is that of
     _max_lambda_batch, and a row off range(A) with need > 0 fails first.
+    The rows left take _simplex when there is one, _max_lambda_batch else.
     """
     Q, s, _ = np.linalg.svd(A, full_matrices=False)
     Q = Q[:, s > RANGE_TOL * s[0]]
@@ -214,40 +125,19 @@ def _capacity(A, W, f_max, stop=None):
             return i, off[i] / off_norm[i]
         on = np.flatnonzero(off_norm <= RANGE_TOL)
         A, W = Q.T @ A, W_range
+    kernel = _simplex if on.size == 1 else _max_lambda_batch
     if stop is None:
         if on.size == W.shape[0]:
-            return _solve(A, W, f_max)
+            return kernel(A, W, f_max)
         lam, U = np.zeros(W.shape[0]), np.zeros((W.shape[0], A.shape[1]))
-        lam[on], U[on] = _solve(A, W[on], f_max)
+        lam[on], U[on] = kernel(A, W[on], f_max)
         return lam, U
-    hit = _solve(A, W[on], f_max, (stop[0][on], stop[1][on]))
+    hit = kernel(A, W[on], f_max, (stop[0][on], stop[1][on]))
     if hit is None:
         return None
     i, y = hit
     n = -y if Q is None else Q @ -y
     return int(on[i]), n / np.linalg.norm(n)
-
-
-def _solve(A, W, f_max, stop=None):
-    """_max_lambda_batch, or _simplex for a single row: the one choice of kernel.
-
-    A short single row's dual solves B^T y = c_B, B being the final basis.
-    """
-    if W.shape[0] != 1:
-        return _max_lambda_batch(A, W, f_max, stop)
-    m, n = A.shape
-    tableau = np.hstack([A, -W.T, np.eye(m)])
-    c = np.zeros(n + 1 + m)
-    c[n] = 1.0
-    upper = np.concatenate([np.full(n, f_max), [np.inf], np.zeros(m)])
-    basis = np.arange(n + 1, n + 1 + m)
-    x = _simplex(tableau, np.zeros(m), c, np.zeros(n + 1 + m), upper, basis,
-                 np.zeros(n + 1 + m, dtype=bool), _TIE_TOL * f_max)
-    if stop is None:
-        return x[n:n + 1], x[None, :n]
-    if x[n] >= stop[0][0]:
-        return None
-    return 0, np.linalg.solve(tableau[:, basis].T, c[basis])
 
 
 def _max_lambda_batch(A, W, f_max, stop=None):
@@ -256,11 +146,11 @@ def _max_lambda_batch(A, W, f_max, stop=None):
     Variables are u (indices 0..n-1, in [0, f_max]), lambda (index n, in
     [0, inf)) and one artificial per row (pinned to [0, 0]), all started at
     0 with the artificials basic.  Only the lambda column differs between
-    problems, so the others are shared.  Per problem, the rules are those
-    of _simplex: steepest reduced cost, Bland's rule after 2(m + 2)
-    degenerate pivots, and ratio-test ties within _TIE_TOL * f_max broken by
-    the smallest variable index.  A problem that reaches optimality is recorded
-    and masked out of every later update.  The arrays keep their shape
+    problems, so the others are shared.  Per problem, the rules are
+    steepest reduced cost, Bland's rule after 2(m + 2) degenerate pivots,
+    and ratio-test ties within _TIE_TOL * f_max broken by the smallest
+    variable index.  A problem that reaches optimality is recorded and
+    masked out of every later update.  The arrays keep their shape
     rather than shrink, so every pivot reuses buffers of the same sizes.
 
     Returns (lambda_star, U).  With `stop` = (need, enough), two arrays of
@@ -292,7 +182,7 @@ def _max_lambda_batch(A, W, f_max, stop=None):
     lam, U = np.empty(k), np.empty((k, n))
     r = np.arange(k)
     tie = _TIE_TOL * f_max
-    # _simplex's bound for the n + 1 + m columns of max_lambda.
+    # Iteration bound, shared with _simplex.
     max_iter = 2000 + 200 * (n + 1 + 2 * m)
     try:
         for it in range(max_iter):
@@ -368,6 +258,91 @@ def _max_lambda_batch(A, W, f_max, stop=None):
                 b_inv = np.linalg.inv(basis_matrices(W, basis))
     except np.linalg.LinAlgError as exc:  # guarded by the pivot tolerance
         raise RuntimeError("singular simplex basis") from exc
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _simplex(A, W, f_max, stop=None):
+    """_max_lambda_batch for one row, W = [w]: the same variables, start, rules and returns.
+
+    B^-1 is inverted afresh at every pivot, which on one row beats the
+    batch's stacked eta updates.  With `stop` the row is solved in full,
+    and the dual returned is the one that priced the final basis.
+    """
+    m, n = A.shape
+    T = np.hstack([A, -W.T, np.eye(m)])
+    c = np.zeros(n + 1 + m)
+    c[n] = 1.0
+    upper = np.concatenate([np.full(n, f_max), [np.inf], np.zeros(m)]).tolist()
+    basis = np.arange(n + 1, n + 1 + m)
+    # Values of the nonbasic variables, 0 on the basic ones: only u can
+    # rest at a nonzero bound, lambda has none and the artificials are
+    # pinned at 0.
+    x = np.zeros(n + 1 + m)
+    at_upper = np.zeros(n + 1 + m, dtype=bool)  # never set on a basic variable
+    frozen = np.zeros(n + 1 + m, dtype=bool)  # basic or pinned: never enters
+    frozen[n + 1:] = True
+    tie = _TIE_TOL * f_max
+    stalled = 0
+    for _ in range(2000 + 200 * (n + 1 + 2 * m)):
+        try:
+            b_inv = np.linalg.inv(T[:, basis])
+        except np.linalg.LinAlgError as exc:  # guarded by the pivot tolerance
+            raise RuntimeError("singular simplex basis") from exc
+        # 0.0 - v rather than -v keeps a zero basic value at +0.0.
+        x_b = b_inv @ (0.0 - T @ x)
+        y = c[basis] @ b_inv
+        d = c - y @ T
+        gain = np.where(at_upper, -d, d)
+        gain[frozen] = 0.0
+        candidates = np.flatnonzero(gain > _RCOST_TOL)
+        if candidates.size == 0:
+            x[basis] = x_b
+            if stop is None:
+                return x[n:n + 1], x[None, :n]
+            return None if x[n] >= stop[0][0] else (0, y)
+        if stalled > 2 * (m + 2):
+            j = int(candidates[0])  # Bland: smallest improving index
+        else:
+            j = int(candidates[np.argmax(gain[candidates])])
+        sigma = -1.0 if at_upper[j] else 1.0
+        # Ratio test: smallest step before a basic variable or the entering
+        # variable itself hits a bound; ties broken by variable index.
+        best = upper[j]
+        best_var = j
+        best_row = -1
+        best_hit_upper = False
+        for i, (s, var, value) in enumerate(zip((sigma * (b_inv @ T[:, j])).tolist(),
+                                                 basis.tolist(), x_b.tolist())):
+            if s > _PIVOT_TOL:
+                lim = value / s
+                hit_upper = False
+            elif s < -_PIVOT_TOL and var != n:
+                lim = (upper[var] - value) / -s
+                hit_upper = True
+            else:
+                continue
+            if lim < 0.0:
+                lim = 0.0
+            if lim < best - tie or (lim <= best + tie and var < best_var):
+                best = lim
+                best_var = var
+                best_row = i
+                best_hit_upper = hit_upper
+        if best == np.inf:
+            raise RuntimeError("direction maximization ended unbounded")
+        stalled = stalled + 1 if best <= tie else 0
+        if best_row < 0:
+            at_upper[j] = not at_upper[j]  # bound flip, basis unchanged
+            x[j] = upper[j] if at_upper[j] else 0.0
+        else:
+            leave = basis[best_row]
+            at_upper[leave] = best_hit_upper
+            x[leave] = upper[leave] if best_hit_upper else 0.0
+            frozen[leave] = leave > n
+            basis[best_row] = j
+            at_upper[j] = False
+            x[j] = 0.0
+            frozen[j] = True
     raise RuntimeError("simplex iteration limit exceeded")
 
 

@@ -134,10 +134,11 @@ def _make_checker(task, checker: str):
         if checker == "lp":
             # The LP accepts a wrench up to lp.BOUNDARY_TOL short of its
             # capacity, measured in range(A), which may leave
-            # lp.RANGE_TOL * |w| off the wrench set; it accepts a wrench
-            # within lp.ZERO_WRENCH_TOL of zero outright.
-            band = np.where(norms <= lp.ZERO_WRENCH_TOL * scale, np.inf,
-                            lp.BOUNDARY_TOL * scale + lp.RANGE_TOL * norms)
+            # lp.RANGE_TOL * |w| off the wrench set.  A wrench within
+            # lp.ZERO_WRENCH_TOL * scale of zero, which the LP accepts
+            # outright, passes here too: n . w - h_A(n) <= |w| since
+            # h_A >= 0 and |n| = 1, and |w| < lp.BOUNDARY_TOL * scale.
+            band = lp.BOUNDARY_TOL * scale + lp.RANGE_TOL * norms
         else:
             band = _SKIP_BAND * scale
         if cache.rejects(A, f_max, band):

@@ -1,11 +1,12 @@
 """Brute-force references for the wrench-set tests.
 
 The binary-image oracle enumerates the image A u of every on/off thrust
-pattern and prunes the points that are convex combinations of the others,
-each with a two-phase feasibility LP; the facet construction in
-`modwrench.hull` is tested against the vertex set it leaves.  Phase 1 runs
-`modwrench.lp._simplex` with an absolute ratio-test tie band of 1e-12.
-Neither is fast, and nothing in the package uses them.
+pattern and prunes the points that are convex combinations of the others;
+the facet construction in `modwrench.hull` is tested against the vertex set
+it leaves.  Each convex-combination test is one non-negative least-squares
+solve (Lawson & Hanson's NNLS, `scipy.optimize.nnls`), so the oracle shares
+no solver with the LP route it is compared with.  Neither is fast, and
+nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -13,68 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from modwrench.hull import CapacityError
-from modwrench.lp import _simplex
 
-# Equality-constraint residual accepted as feasible, per unit of system size.
-FEASIBILITY_TOL = 1e-8
-
-# A point within this L1 equality residual of the hull of the remaining
-# points is treated as redundant by the oracle; published so oracle
-# comparisons are deterministic.
+# A point is treated as redundant when sqrt(d + 1) times the L2 residual of
+# its best convex combination of the remaining points is within this; that
+# bounds the L1 residual, so the test is no looser than an L1 one at the
+# same tolerance.  Published so oracle comparisons are deterministic.
 REDUNDANCY_TOL = 1e-8
 
 # Brute-force binary enumeration guard.
 MAX_ENUM_COLUMNS = 20
-
-
-def _phase1(A, b, lower, upper):
-    """Minimal L1 equality violation with all variables started at lower bounds.
-
-    Each row gets a +1 and a -1 artificial slack so violations in either
-    direction can be absorbed; the minimum of their sum is the true L1
-    residual.  Returns (residual, x_ext, basis, A_ext), where the last 2m
-    entries of x_ext are the artificials and A_ext = [A | I | -I].
-    """
-    m, n = A.shape
-    resid = b - A @ lower
-    A_ext = np.hstack([A, np.eye(m), -np.eye(m)]) if m else A.reshape(0, n)
-    lo_ext = np.concatenate([lower, np.zeros(2 * m)])
-    hi_ext = np.concatenate([upper, np.full(2 * m, np.inf)])
-    c1 = np.zeros(n + 2 * m)
-    c1[n:] = -1.0
-    basis = np.where(resid >= 0.0, np.arange(n, n + m), np.arange(n + m, n + 2 * m))
-    basis = basis.astype(int)
-    at_upper = np.zeros(n + 2 * m, dtype=bool)
-    x = _simplex(A_ext, b, c1, lo_ext, hi_ext, basis, at_upper, 1e-12)
-    residual = max(float(np.sum(x[n:])), 0.0)
-    return residual, x, basis, A_ext
-
-
-def equality_feasibility(eq_matrix, eq_rhs, lower, upper, want_dual: bool = False):
-    """Minimal L1 violation of eq_matrix @ x = eq_rhs over the box, with witness.
-
-    Returns (residual, x), or (residual, x, y) with the final dual vector
-    when `want_dual` is set (used for pricing in column generation).
-    A residual within FEASIBILITY_TOL of the system's size means the system
-    is feasible and x is a feasible point (up to that tolerance).
-    """
-    A = np.asarray(eq_matrix, dtype=float)
-    b = np.asarray(eq_rhs, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    residual, x, basis, A_ext = _phase1(A, b, lo, hi)
-    n = A.shape[1]
-    if not want_dual:
-        return residual, x[:n]
-    m = A.shape[0]
-    if m == 0:
-        return residual, x[:n], np.zeros(0)
-    c1 = np.zeros(n + 2 * m)
-    c1[n:] = -1.0
-    y = c1[basis] @ np.linalg.inv(A_ext[:, basis])
-    return residual, x[:n], y
 
 
 @dataclass(frozen=True)
@@ -129,47 +80,15 @@ def enumerate_binary_images(A, f_max: float) -> np.ndarray:
 
 
 def _in_hull_residual(points: np.ndarray, x: np.ndarray) -> float:
-    """Minimal L1 violation of expressing x as a convex combination of points.
+    """Least L2 residual of (x, 1) against [points^T; 1] t over t >= 0.
 
-    For large point sets the LP is solved by column generation: a small
-    working set of candidate points is grown using the dual certificate
-    until either a combination within tolerance is found or no point can
-    improve the residual, so the result equals the full solve.
+    It is 0 exactly when x is a convex combination of the points.
     """
-    k = points.shape[0]
-    cols = np.vstack([points.T, np.ones((1, k))])
-    rhs = np.concatenate([x, [1.0]])
-
-    def solve(idx):
-        sub = cols[:, idx]
-        return equality_feasibility(
-            sub, rhs, np.zeros(len(idx)), np.full(len(idx), np.inf), want_dual=True)
-
-    if k <= 32:
-        residual, _, _ = solve(np.arange(k))
-        return residual
-    near = np.argsort(((points - x) ** 2).sum(axis=1), kind="stable")[:16]
-    work = set(near.tolist())
-    for dim in range(points.shape[1]):
-        work.add(int(np.argmax(points[:, dim])))
-        work.add(int(np.argmin(points[:, dim])))
-    work = sorted(work)
-    for _ in range(k):
-        residual, _, y = solve(np.array(work))
-        if residual <= REDUNDANCY_TOL:
-            return residual  # feasible on a subset is feasible on the full set
-        scores = -(y @ cols)
-        scores[work] = 0.0
-        improving = np.nonzero(scores > 1e-9)[0]
-        if improving.size == 0:
-            return residual  # dual-certified optimal over all points
-        take = improving[np.argsort(scores[improving], kind="stable")[::-1][:8]]
-        work = sorted(set(work) | set(take.tolist()))
-    residual, _, _ = solve(np.arange(k))  # unreachable in practice
-    return residual
+    cols = np.vstack([points.T, np.ones((1, points.shape[0]))])
+    return float(nnls(cols, np.append(x, 1.0))[1])
 
 
-# Fixed direction battery used to certify clear vertices without an LP.
+# Fixed direction battery used to certify clear vertices without a solve.
 _N_CERTIFY_DIRECTIONS = 384
 _CERTIFY_SEED = 20230517
 # Largest point-by-direction projection the certification may allocate.
@@ -180,7 +99,7 @@ def _certified_extremes(points: np.ndarray) -> np.ndarray:
     """Mark points that are unique maximizers of some direction by a clear gap.
 
     Such a point cannot be a convex combination of the others (the gap along
-    the certifying direction dwarfs REDUNDANCY_TOL), so the per-point LP can
+    the certifying direction dwarfs REDUNDANCY_TOL), so the per-point solve can
     be skipped for it.  Purely an exactness-preserving fast path.  Raises
     CapacityError when the projection, n x (n + 384 + 2 dim) at most, would
     exceed _CERTIFY_BYTES.
@@ -217,7 +136,7 @@ def prune_redundant(points) -> VertexHull:
     """Keep only points that are not convex combinations of the other kept points.
 
     The hull of the output equals the hull of the input; each candidate is
-    tested with a feasibility LP at REDUNDANCY_TOL (clear extreme points are
+    tested with one NNLS solve at REDUNDANCY_TOL (clear extreme points are
     certified without one).  Output rows stay in lexicographic order, which
     makes the result deterministic.  Raises CapacityError for point sets
     whose certification would exceed its memory budget: 5,599 or more
@@ -235,7 +154,7 @@ def prune_redundant(points) -> VertexHull:
         others = points[keep & (np.arange(points.shape[0]) != i)]
         if others.shape[0] == 0:
             continue
-        if _in_hull_residual(others, points[i]) <= REDUNDANCY_TOL:
+        if np.sqrt(points.shape[1] + 1) * _in_hull_residual(others, points[i]) <= REDUNDANCY_TOL:
             keep[i] = False
     vertices = points[keep]
     return VertexHull(vertices, _affine_dimension(vertices))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from modwrench.hull import (
     CapacityError,
@@ -15,7 +16,7 @@ from modwrench.hull import (
 from modwrench.lp import satisfies_task, satisfies_wrench, separating_normal, task_verdicts
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
-from brute_force import enumerate_binary_images, prune_redundant
+from brute_force import REDUNDANCY_TOL, _in_hull_residual, enumerate_binary_images, prune_redundant
 
 SQRT2 = np.sqrt(2.0)
 BAR3 = {(0, 0), (1, 0), (2, 0)}
@@ -92,6 +93,34 @@ class TestPrune:
         h = prune_redundant(np.zeros((1, 6)))
         assert h.n_vertices == 1
         assert h.dimension == 0
+
+    def test_nnls_verdict_matches_highs(self):
+        # Random 6-D point sets of 2-40 points, queried at convex combinations
+        # of them and at points beyond a supporting plane (or, for a few
+        # points, off their affine hull).  The oracle's NNLS residual r must
+        # bound HiGHS's least L1 residual, r <= L1 <= sqrt(7) r, and give its
+        # verdict at REDUNDANCY_TOL.
+        rng = np.random.default_rng(11)
+        verdicts = {True: 0, False: 0}
+        for _ in range(60):
+            k = int(rng.integers(2, 41))
+            points = rng.normal(size=(k, 6)) * rng.uniform(0.1, 10.0)
+            n = rng.normal(size=6)
+            n /= np.linalg.norm(n)
+            queries = [rng.dirichlet(np.full(k, 0.5)) @ points,
+                       points[np.argmax(points @ n)] + rng.uniform(1e-3, 1.0) * n]
+            for x in queries:
+                cols = np.vstack([points.T, np.ones((1, k))])
+                ref = linprog(np.r_[np.zeros(k), np.ones(14)],
+                              A_eq=np.hstack([cols, np.eye(7), -np.eye(7)]), b_eq=np.r_[x, 1.0],
+                              bounds=[(0, None)] * (k + 14), method="highs")
+                assert ref.status == 0
+                r = _in_hull_residual(points, x)
+                assert r <= ref.fun + 1e-9 and ref.fun <= np.sqrt(7) * r + 1e-9
+                inside = np.sqrt(7) * r <= REDUNDANCY_TOL
+                assert inside == (ref.fun <= REDUNDANCY_TOL)
+                verdicts[inside] += 1
+        assert verdicts == {True: 60, False: 60}
 
     def test_certification_memory_budget(self):
         # 2^13 points would need a 563 MB projection; the budget is 256 MiB.

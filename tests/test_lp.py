@@ -14,7 +14,7 @@ from modwrench.lp import (
 )
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
-from brute_force import enumerate_binary_images, equality_feasibility
+from brute_force import enumerate_binary_images
 
 SQRT2 = np.sqrt(2.0)
 
@@ -22,26 +22,6 @@ SQRT2 = np.sqrt(2.0)
 def single_module_matrix(eta=np.pi / 4, c_tau=0.01):
     cfg = StructureConfig(frozenset({(0, 0)}), ModuleParams(eta=eta, c_tau=c_tau))
     return configuration_matrix(cfg)
-
-
-class TestEqualityFeasibility:
-    def test_feasibility_residual_matches_scipy(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            m, n = 4, 9
-            A = rng.normal(size=(m, n))
-            b = rng.normal(size=m) * 2
-            lo, hi = np.zeros(n), np.ones(n)
-            residual, x = equality_feasibility(A, b, lo, hi)
-            # scipy reference: minimize L1 residual via slack variables
-            c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-            A_eq = np.hstack([A, np.eye(m), -np.eye(m)])
-            bounds = [(0, 1)] * n + [(0, None)] * 2 * m
-            ref = linprog(c, A_eq=A_eq, b_eq=b, bounds=bounds, method="highs")
-            assert ref.status == 0
-            assert residual == pytest.approx(ref.fun, abs=1e-8)
-            if residual <= 1e-8:
-                assert np.max(np.abs(A @ x - b)) < 1e-7
 
 
 def highs_max_lambda(A, w, f_max):

@@ -17,6 +17,7 @@ from .hull import (
     satisfies_task_hull,
 )
 from .lp import (
+    SolverError,
     max_force_zero_torque,
     max_lambda,
     satisfies_task,

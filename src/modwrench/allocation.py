@@ -76,7 +76,7 @@ def _fallback_inputs(A, task, f_max: float) -> list:
     """
     try:
         ok, lam, U = lp.task_capacity(A, task, f_max)
-    except RuntimeError:
+    except lp.SolverError:
         if task.shape[0] == 1:
             return [None]
         return [u for w in task for u in _fallback_inputs(A, w[None], f_max)]

@@ -26,6 +26,7 @@ EXIT_PARSE = 2
 EXIT_STRUCTURE = 3
 EXIT_ASYMMETRIC = 4
 EXIT_CAPACITY = 5
+EXIT_SOLVER = 6
 
 # Column budget accepted by the hull export (5 modules).
 HULL_COLUMN_CAPACITY = 20
@@ -192,6 +193,7 @@ _ERROR_EXITS = (
     (fileio.ParseError, EXIT_PARSE),
     (AsymmetricSeedError, EXIT_ASYMMETRIC),
     (hull.CapacityError, EXIT_CAPACITY),
+    (lp.SolverError, EXIT_SOLVER),
     (StructureError, EXIT_STRUCTURE),
     (OSError, EXIT_PARSE),
 )

@@ -63,6 +63,10 @@ _TIE_TOL = 1e-12
 _REFACTOR_EVERY = 32
 
 
+class SolverError(RuntimeError):
+    """A simplex kernel gave up: iteration limit, singular basis or an unbounded step."""
+
+
 def _setup(A, task, f_max: float):
     """Validate a query; return (A, task, norms, live, band), one task wrench per row.
 
@@ -236,7 +240,7 @@ def _max_lambda_batch(A, W, f_max, stop=None):
             lim = np.maximum(lim, 0.0)
             best = np.minimum(lim.min(axis=1), upper[j])
             if not np.isfinite(best[active]).all():
-                raise RuntimeError("direction maximization ended unbounded")
+                raise SolverError("direction maximization ended unbounded")
             tied = np.where(lim <= best[:, None] + tie, basis, n + 1 + m)
             row = tied.argmin(axis=1)
             flip = (upper[j] <= best + tie) & (j < tied[r, row]) & active
@@ -257,8 +261,8 @@ def _max_lambda_batch(A, W, f_max, stop=None):
             else:
                 b_inv = np.linalg.inv(basis_matrices(W, basis))
     except np.linalg.LinAlgError as exc:  # guarded by the pivot tolerance
-        raise RuntimeError("singular simplex basis") from exc
-    raise RuntimeError("simplex iteration limit exceeded")
+        raise SolverError("singular simplex basis") from exc
+    raise SolverError("simplex iteration limit exceeded")
 
 
 def _simplex(A, W, f_max, stop=None):
@@ -287,7 +291,7 @@ def _simplex(A, W, f_max, stop=None):
         try:
             b_inv = np.linalg.inv(T[:, basis])
         except np.linalg.LinAlgError as exc:  # guarded by the pivot tolerance
-            raise RuntimeError("singular simplex basis") from exc
+            raise SolverError("singular simplex basis") from exc
         # 0.0 - v rather than -v keeps a zero basic value at +0.0.
         x_b = b_inv @ (0.0 - T @ x)
         y = c[basis] @ b_inv
@@ -329,7 +333,7 @@ def _simplex(A, W, f_max, stop=None):
                 best_row = i
                 best_hit_upper = hit_upper
         if best == np.inf:
-            raise RuntimeError("direction maximization ended unbounded")
+            raise SolverError("direction maximization ended unbounded")
         stalled = stalled + 1 if best <= tie else 0
         if best_row < 0:
             at_upper[j] = not at_upper[j]  # bound flip, basis unchanged
@@ -343,7 +347,7 @@ def _simplex(A, W, f_max, stop=None):
             at_upper[j] = False
             x[j] = 0.0
             frozen[j] = True
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise SolverError("simplex iteration limit exceeded")
 
 
 def satisfies_wrench(A, w, f_max: float) -> bool:

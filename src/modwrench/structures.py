@@ -109,14 +109,7 @@ def canonical_form(cells) -> tuple:
     cells = tuple(sorted(_as_cells(cells)))
     if not cells:
         raise StructureError("cell set must be nonempty")
-    return _canonical_sorted(cells)
-
-
-def _canonical_sorted(cells: tuple) -> tuple:
-    """canonical_form of a nonempty sorted tuple of integer cells, unchecked.
-
-    A translation keeps the order, so the result needs no sort.
-    """
+    # A translation keeps the order, so the result needs no second sort.
     x0 = cells[0][0]
     y0 = min(y for _, y in cells)
     return tuple((x - x0, y - y0) for x, y in cells)

@@ -7,7 +7,7 @@ from modwrench.allocation import (
     min_norm_allocation,
     truncate_input,
 )
-from modwrench.lp import BOUNDARY_TOL, max_lambda, satisfies_wrench, task_capacity, task_verdicts
+from modwrench.lp import BOUNDARY_TOL, SolverError, max_lambda, satisfies_wrench, task_capacity, task_verdicts
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -196,7 +196,7 @@ class TestFallback:
         N /= np.linalg.norm(N, axis=1)[:, None]
         task = np.array([A @ (n @ A > 0) + 1e-8 * n for n in N[[3, 45, 67]]]
                         + [A @ np.full(12, 0.5)])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SolverError):
             task_verdicts(A, task, 1.0)
         report = evaluate_task_trace(A, task, 1.0, fallback=True)
         scale = np.linalg.norm(A, axis=0).max()

@@ -311,6 +311,25 @@ class TestAllocate:
         assert outcomes[1][0] == 1
 
 
+class TestSolverFailure:
+    # A wrench just outside a vertex of the L tromino's wrench set, on which
+    # the scalar simplex hits its iteration limit.
+    STALL = ("0.5000000002138213 2.5000000005415326 3.5355339058659703 "
+             "-0.2807190951319842 -0.1692809045037418 0.22525721507017643\n")
+
+    def test_stalled_solve_exits_6(self, tmp_path, capsys):
+        structure = tmp_path / "l.txt"
+        write_structure(structure, StructureConfig(frozenset({(0, 0), (1, 0), (0, 1)})))
+        task = tmp_path / "stall.txt"
+        task.write_text(self.STALL)
+        for command in ("check", "search"):
+            assert main([command, str(structure), str(task)]) == 6
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "iteration limit" in err[0]
+        # The fallback leaves the stalled row to the pseudoinverse, which saturates.
+        assert main(["allocate", str(structure), str(task), "--fallback"]) == 1
+
+
 class TestEntryPoint:
     def test_module_invocation(self, single_module_file):
         proc = subprocess.run([sys.executable, "-m", "modwrench", "matrix", single_module_file],

@@ -5,7 +5,9 @@ are stable API: 0 success/satisfied, 1 unsatisfied/saturated/no result
 within budget, 2 parse error (a malformed file or argument, or a file that
 cannot be read or written), 3 invalid structure, 4 non-centrosymmetric
 seed for the heuristic search, 5 capacity exceeded (a hull too large to
-build or export, or a search level of too many cells).
+build or export, or a search level of too many cells), 6 solver failure
+(the capacity LP gave up: iteration limit, singular basis or unbounded
+step).
 """
 
 from __future__ import annotations

@@ -15,14 +15,6 @@ and no further than the search goes.  A level of more than
 MAX_LEVEL_CELLS cells, summed over its designs, raises hull.CapacityError
 rather than exhaust memory.
 
-Levels depend only on the seed's cells and the center, never on the module
-parameters or the task, so each is grown once per process: a cache keyed
-by (the seed's sorted cells, center) keeps every grown level while it
-holds at most LEVEL_CACHE_CELLS cells in all, and every later search from
-that seed reads them.  A level that would pass that bound is grown anew on
-each search and not kept.  A cached level still raises hull.CapacityError
-when it holds more than MAX_LEVEL_CELLS cells.
-
 Both searches skip whole levels with a force-only module-count bound.  All
 modules share one orientation, so the force rows of every n-module design
 are one module's 3 x 4 force block F1 repeated n times, and its force set
@@ -31,8 +23,7 @@ thrust box.  One facet test of the task forces against Z(F1) gives the
 fewest modules that can hold them; a level with fewer modules is skipped
 without a matrix build or a check.  Skipped designs still count in
 `evaluations`, and skipped levels are still grown, so the counts and result
-files are the same as with every design checked.  Z(F1) is built once per
-ModuleParams.
+files are the same as with every design checked.
 
 On every task, of any length, each search also keeps the unit normals
 that separated a failing wrench from the wrench set of a design it
@@ -55,8 +46,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
@@ -74,11 +64,6 @@ from .structures import (
 # Cells, summed over its designs, one search level may hold; memory goes
 # with cells.  From one module, 135,268 designs of 11 cells pass.
 MAX_LEVEL_CELLS = 2 ** 21
-# Cells, summed over designs and seeds, that the level cache may hold.  A
-# cached cell costs about 25 bytes, since the cell tuples are shared with the
-# parent design, so the cache stays near 3 MB.  From one module it holds
-# every level of 2 to 9 cells, 118,019 cells in all.
-LEVEL_CACHE_CELLS = 2 ** 17
 
 
 class AsymmetricSeedError(StructureError):
@@ -190,7 +175,8 @@ def force_module_bound(params: ModuleParams, task, band=0.0) -> float:
     excess and forgives that much more.  Returns max_f n_min(f); no design
     with fewer modules can meet the task.
     """
-    zonotope = _force_zonotope(params)
+    F1 = configuration_matrix(StructureConfig(frozenset({(0, 0)}), params))[:3]
+    zonotope = hull.construct_hull(F1, params.f_max)
     forces = np.atleast_2d(np.asarray(task, dtype=float))[:, :3]
     band = np.broadcast_to(np.asarray(band, dtype=float), forces.shape[:1])
     y = forces @ zonotope.basis
@@ -200,13 +186,6 @@ def force_module_bound(params: ModuleParams, task, band=0.0) -> float:
     off_range = np.linalg.norm(forces - y @ zonotope.basis.T, axis=1) > band + zonotope.tol
     n_min[off_range | (excess[:, ~bounded] > zonotope.tol).any(axis=1)] = np.inf
     return float(n_min.max(initial=0.0))
-
-
-@lru_cache(maxsize=8)
-def _force_zonotope(params: ModuleParams) -> hull.WrenchHull:
-    """Z(F1): the hull of one module's force rows under the thrust box."""
-    F1 = configuration_matrix(StructureConfig(frozenset({(0, 0)}), params))[:3]
-    return hull.construct_hull(F1, params.f_max)
 
 
 def _skip_bound(initial: StructureConfig, task, n_max: int) -> float:
@@ -224,15 +203,7 @@ def _skip_bound(initial: StructureConfig, task, n_max: int) -> float:
     return force_module_bound(p, task, band)
 
 
-def _capacity_check(designs: int, size: int) -> None:
-    """Raise hull.CapacityError when `designs` designs of `size` cells pass MAX_LEVEL_CELLS."""
-    if designs * size > MAX_LEVEL_CELLS:
-        raise hull.CapacityError(
-            f"a search level of {size}-module designs holds more than "
-            f"{MAX_LEVEL_CELLS} cells in all")
-
-
-def _grow(level, center=None) -> list:
+def _grow(level: list, center=None) -> list:
     """Every design one step larger than a design of `level`, deduplicated.
 
     `level` holds sorted tuples of integer cells.  Each design gains a free
@@ -277,63 +248,19 @@ def _grow(level, center=None) -> list:
                 best = grown.get(key)
                 if best is None or corner < best[0]:
                     grown[key] = (corner, cells, added)
-        _capacity_check(len(grown), size)
-    return [_placed(*grown[key][1:]) for key in sorted(grown)]
-
-
-def _placed(cells: tuple, added: tuple) -> tuple:
-    """The sorted tuple `cells` with the cells of `added` inserted in order."""
-    out = list(cells)
-    for cell in added:
-        insort(out, cell)
-    return tuple(out)
-
-
-class _LevelCache:
-    """Grown levels per (seed's sorted cells, center), kept while they fit in LEVEL_CACHE_CELLS.
-
-    Levels depend only on the seed's cells and the center, never on the
-    module parameters or the task, so every search of one process from one
-    seed shares them.  A level that would pass the bound is not kept, nor is
-    any level past it.
-    """
-
-    def __init__(self):
-        self.levels = {}
-        self.cells = 0
-
-    def get(self, key, depth):
-        """The grown level `depth` (1-based) of `key`, or None when it is not kept."""
-        kept = self.levels.get(key, ())
-        return kept[depth - 1] if depth <= len(kept) else None
-
-    def put(self, key, depth, level: tuple, cells: int) -> None:
-        kept = self.levels.get(key, [])
-        if depth == len(kept) + 1 and self.cells + cells <= LEVEL_CACHE_CELLS:
-            self.levels[key] = kept + [level]
-            self.cells += cells
-
-
-_LEVEL_CACHE = _LevelCache()
+        if len(grown) * size > MAX_LEVEL_CELLS:
+            raise hull.CapacityError(
+                f"a search level of {size}-module designs holds more than "
+                f"{MAX_LEVEL_CELLS} cells in all")
+    return [tuple(sorted(grown[key][1] + grown[key][2])) for key in sorted(grown)]
 
 
 def _levels(seed: StructureConfig, center=None):
-    """The seed's level, then each grown level in turn, lazily, through _LEVEL_CACHE.
-
-    A kept level raises hull.CapacityError as growing it would.
-    """
-    level = (tuple(seed.sorted_cells()),)
-    key, size = (level[0], center), len(level[0])
-    for depth in count(1):
+    """The seed's level, then each grown level in turn, lazily."""
+    level = [tuple(seed.sorted_cells())]
+    while True:
         yield level
-        size += 1 if center is None else 2
-        kept = _LEVEL_CACHE.get(key, depth)
-        if kept is None:
-            level = tuple(_grow(level, center))
-            _LEVEL_CACHE.put(key, depth, level, len(level) * size)
-        else:
-            _capacity_check(len(kept), size)
-            level = kept
+        level = _grow(level, center)
 
 
 def expand_one(config: StructureConfig) -> list[StructureConfig]:

@@ -231,78 +231,6 @@ class TestGrowth:
         assert heuristic_search(seed, z_task(3.0), SearchOptions(n_max=8)).modules_total == 3
 
 
-@pytest.fixture
-def level_cache(monkeypatch):
-    """An empty level cache for one test."""
-    cache = search._LevelCache()
-    monkeypatch.setattr(search, "_LEVEL_CACHE", cache)
-    return cache
-
-
-def count_grows(monkeypatch):
-    """Cell counts of the designs of every level `_grow` is called on from now."""
-    calls, grow = [], search._grow
-    monkeypatch.setattr(search, "_grow",
-                        lambda level, center=None: calls.append(len(level[0])) or grow(level, center))
-    return calls
-
-
-class TestLevelCache:
-    # The upward-only rotors cannot push down, so a downward task grows
-    # every level within the budget.
-
-    def test_second_search_grows_no_level(self, level_cache, monkeypatch):
-        calls = count_grows(monkeypatch)
-        task = z_task(-1.0)
-        for method, levels in (("exhaustive", 4), ("heuristic", 2)):
-            opts = SearchOptions(n_max=4, method=method)
-            calls.clear()
-            first = run_search(make_config({(0, 0)}), task, opts)
-            assert len(calls) == levels
-            calls.clear()
-            # Levels do not depend on the module parameters.
-            again = run_search(make_config({(0, 0)}, f_max=2.0), task, opts)
-            assert calls == [] and again.evaluations == first.evaluations
-        assert level_cache.cells == 4 + 18 + 76 + 315 + 2 * 3 + 7 * 5
-
-    def test_cached_levels_still_raise(self, level_cache, monkeypatch):
-        # Cell counts as in test_oversized_level_raises_on_both_searches.
-        seed, task = make_config({(0, 0)}), z_task(-1.0)
-        exhaustive_search(seed, task, SearchOptions(n_max=5))
-        heuristic_search(seed, task, SearchOptions(n_max=10))
-        calls = count_grows(monkeypatch)
-        monkeypatch.setattr(search, "MAX_LEVEL_CELLS", 1000)
-        with pytest.raises(hull.CapacityError, match="6-module designs holds more than 1000 cells"):
-            exhaustive_search(seed, task, SearchOptions(n_max=5))
-        with pytest.raises(hull.CapacityError, match="11-module designs holds more than 1000 cells"):
-            heuristic_search(seed, task, SearchOptions(n_max=10))
-        assert calls == []
-
-    def test_level_over_the_bound_is_regrown(self, level_cache, monkeypatch):
-        # Levels of 2-4 cells hold 4 + 18 + 76 = 98 cells; the 5-cell level
-        # adds 315 more.
-        monkeypatch.setattr(search, "LEVEL_CACHE_CELLS", 100)
-        seed, task = make_config({(0, 0)}), z_task(-1.0)
-        first = exhaustive_search(seed, task, SearchOptions(n_max=4))
-        calls = count_grows(monkeypatch)
-        for _ in range(2):
-            assert same_result(exhaustive_search(seed, task, SearchOptions(n_max=4)), first)
-        assert calls == [4, 4]
-        assert level_cache.cells == 98
-        assert [len(level) for level in level_cache.levels[(((0, 0),), None)]] == [2, 6, 19]
-
-    @pytest.mark.parametrize("method, evaluations", [("exhaustive", 111), ("heuristic", 12)])
-    def test_warm_and_cold_searches_agree(self, method, evaluations, level_cache):
-        # The default experiment: the seed-55539 task with f_z folded upward.
-        task = generate_random_task(80, half_range=0.5, fz_scale=30.0, seed=55539)
-        task[:, 2] = np.abs(task[:, 2])
-        opts = SearchOptions(n_max=7, method=method)
-        cold = run_search(make_config({(0, 0)}), task, opts)
-        warm = run_search(make_config({(0, 0)}), task, opts)
-        assert cold.satisfied and cold.evaluations == evaluations
-        assert same_result(cold, warm)
-
-
 class TestHeuristic:
     def test_zero_task_one_evaluation(self):
         res = heuristic_search(make_config({(0, 0)}), z_task(0.0), SearchOptions(n_max=4))

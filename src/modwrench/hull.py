@@ -10,10 +10,15 @@ normal n is the support value h(n) = f_max * sum_i max(0, n . a_i).  The
 hull keeps those normals and offsets in the coordinates of an orthonormal
 basis Q of range(A), which also covers the flat wrench sets of a single
 module (rank 4) and of a bar (rank 5).  A wrench w is inside iff its
-residual off range(A) is within tolerance and N Q^T w <= h; the vertex set
-is derived from the facets only when it is read.  No LP is solved here;
-the tests check the facets against a brute-force oracle that enumerates
-every on/off thrust pattern and prunes its images by LP.
+residual off range(A) is within tolerance and N Q^T w <= h.  The vertex
+set is derived when read, from the facets' column signs alone, with no SVD
+and no tolerance: a facet is the sum of the columns on its positive side
+plus the zonotope of those in its hyperplane, whose own facets lie in its
+maximal proper intersections with the other hyperplanes (the flats of the
+column matroid, as in Ferrez, Fukuda & Liebling 2005), and every vertex
+lies on a facet.  No LP is solved here; the tests check the facets against
+a brute-force oracle that enumerates every on/off thrust pattern and
+prunes its images by non-negative least squares.
 """
 
 from __future__ import annotations
@@ -74,18 +79,15 @@ class WrenchHull:
         if m > _MAX_CODE_COLUMNS:
             raise CapacityError(
                 f"vertex enumeration of {m} columns exceeds the limit of {_MAX_CODE_COLUMNS}")
-        codes = _facet_codes(self.A, np.arange(m), self.dimension, self.signs,
-                             _geometry_tol(self.A), {})
+        weights = np.left_shift(1, np.arange(m, dtype=np.int64))
+        zero, pos, neg = (test(self.signs, 0) @ weights for test in (np.equal, np.greater, np.less))
+        codes = _vertex_codes((1 << m) - 1, self.dimension, zero, np.arange(len(zero)), pos, neg, {})
         bits = ((codes[:, None] >> np.arange(m)) & 1).astype(float)
         return np.unique(bits @ (float(self.f_max) * self.A.T), axis=0)
 
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
-
-
-def _geometry_tol(A: np.ndarray) -> float:
-    return GEOMETRY_TOL * float(np.linalg.norm(A, axis=0).max())
 
 
 def _distinct(normals, quality, B, tol):
@@ -134,38 +136,36 @@ def _hyperplanes(B: np.ndarray, tol: float):
     return normals, signs
 
 
-def _facet_codes(G, cols, rank, signs, tol, memo):
-    """Vertex bit codes of the zonotope of columns `cols` of G, from its facets.
+def _vertex_codes(cols, rank, facets, rows, pos, neg, memo):
+    """Vertex bit codes of the rank-`rank` zonotope of the columns in bit mask `cols`.
 
-    Row s of `signs` is a facet hyperplane of the rank-`rank` zonotope: the
-    facet on its positive side is the sum of the columns with s > 0 plus the
-    zonotope of the columns with s == 0 (of rank `rank` - 1), likewise on the
-    negative side, and every vertex lies on a facet.  Bit i of a code is set
-    when column i is on.  A rank-0 zonotope is the origin.
+    facets[k] masks the columns of cols in its k-th facet hyperplane, and
+    the hull's sign row rows[k] sides the rest.  Every vertex lies on a facet:
+    the sum of the columns in cols & pos[rows[k]] (or neg) plus the zonotope
+    of facets[k], whose own facets lie in its maximal proper intersections
+    with the other facets[j], on the same sign rows.  Bit i of a code is set
+    when column i is on; `memo` maps each facet mask to its codes.
     """
-    if rank == 0:
+    if not len(facets):
         return np.zeros(1, dtype=np.int64)
-    weights = np.left_shift(1, cols.astype(np.int64))
-    parts = []
-    for s, positive, negative in zip(signs, (signs > 0) @ weights, (signs < 0) @ weights):
-        inner = _vertex_codes(G, cols[s == 0], rank - 1, tol, memo)
-        parts += [positive | inner, negative | inner]
-    return np.unique(np.concatenate(parts))
-
-
-def _vertex_codes(G, cols, rank, tol, memo):
-    """Vertex bit codes of the rank-`rank` zonotope of columns `cols` of G, memoised on `cols`."""
-    weights = np.left_shift(1, cols.astype(np.int64))
-    key = int(weights.sum())
-    if key not in memo:
-        if rank == len(cols):  # independent columns: every on/off pattern is a vertex
-            memo[key] = ((np.arange(1 << rank)[:, None] >> np.arange(rank)) & 1) @ weights
-        else:
-            sub = G[:, cols]
-            basis = np.linalg.svd(sub, full_matrices=False)[0][:, :rank]
-            _, signs = _hyperplanes(basis.T @ sub, tol)
-            memo[key] = _facet_codes(G, cols, rank, signs, tol, memo)
-    return memo[key]
+    inner = []
+    for f in map(int, facets):
+        if f not in memo:
+            if f.bit_count() == rank - 1:  # independent columns: every on/off pattern is a vertex
+                bits = np.array([1 << i for i in range(f.bit_length()) if f >> i & 1], dtype=np.int64)
+                memo[f] = ((np.arange(1 << len(bits))[:, None] >> np.arange(len(bits))) & 1) @ bits
+            else:
+                cut = np.sort(facets & f)
+                cut = cut[np.concatenate(([True], cut[1:] != cut[:-1])) & (cut != f)]
+                cut = cut[((cut[:, None] & cut) == cut[:, None]).sum(axis=1) == 1]
+                first = np.argmax((facets & f) == cut[:, None], axis=1)
+                memo[f] = _vertex_codes(f, rank - 1, cut, rows[first], pos, neg, memo)
+        inner.append(memo[f])
+    sizes = [len(c) for c in inner]
+    inner = np.concatenate(inner)
+    codes = np.sort(np.concatenate([np.repeat(pos[rows] & cols, sizes) | inner,
+                                    np.repeat(neg[rows] & cols, sizes) | inner]))
+    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]  # np.unique's hash is 3x slower
 
 
 def construct_hull(A, f_max: float) -> WrenchHull:
@@ -177,7 +177,7 @@ def construct_hull(A, f_max: float) -> WrenchHull:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[1] == 0:
         raise ValueError("configuration matrix needs at least one column")
-    tol = _geometry_tol(A)
+    tol = GEOMETRY_TOL * float(np.linalg.norm(A, axis=0).max())
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     basis = U[:, s > tol]  # orthonormal basis of range(A)
     B = basis.T @ A

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -195,6 +196,20 @@ class TestHull:
         assert main(["hull", str(path), "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith(f"{vertices} vertices")
         assert read_hull_vertices(out).shape == (vertices, 6)
+
+    @pytest.mark.parametrize("cells, digest", [
+        ({(0, 0), (1, 0), (0, 1), (1, 1)}, "7edfff4dd9e999da0b87d920b73374c79b558355b8cf444644396ea81babd569"),
+        ({(i, 0) for i in range(5)}, "ea6870079f1d783da8b7891e0ee985719f575c9bc50a68585ae843a8770f4f7e"),
+        ({(0, 0), (1, 0), (0, 1)}, "d1586b4b56fddb5563d65302643431fb9d1e23d401da51a5309db473c61b2958"),
+    ], ids=["2x2", "1x5", "L3"])
+    def test_export_bytes_pinned(self, cells, digest, tmp_path):
+        # The vertex set and its formatting, with default ModuleParams: a
+        # change to the vertex derivation must not move a single byte.
+        path = tmp_path / "s.txt"
+        write_structure(path, StructureConfig(frozenset(cells)))
+        out = tmp_path / "h.txt"
+        assert main(["hull", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_capacity_exceeded_exits_5(self, tmp_path, capsys):
         big = tmp_path / "big.txt"

@@ -1,8 +1,9 @@
 import functools
+import gc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -261,11 +262,62 @@ class TestFacets:
         ({(0, 0), (1, 0)}, 88, 178),
         (BAR3, 266, 656),
         ({(0, 0), (1, 0), (0, 1)}, 508, 1590),
+        (BLOCK, 1672, 6420),
+        ({(0, 0), (1, 0), (2, 0), (1, 1)}, 1604, 5250),  # T
+        ({(0, 0), (1, 0), (1, 1), (2, 1)}, 2152, 6820),  # S
+        ({(0, 0), (1, 0), (2, 0), (0, 1)}, 1808, 5380),  # L
+        ({(0, 0), (1, 0), (2, 0), (3, 0)}, 680, 1666),
     ])
     def test_facet_and_vertex_counts(self, cells, facets, vertices):
         h = construct_hull(module_matrix(cells), 1.0)
         assert h.n_facets == facets
         assert h.n_vertices == vertices
+
+
+def test_vertex_enumeration_leaves_no_reference_cycle():
+    # A recursion that refers to itself through a closure keeps its memo
+    # alive until the collector runs, which raises the peak memory.
+    A = module_matrix(BLOCK)
+    gc.collect()
+    gc.disable()
+    try:
+        assert construct_hull(A, 1.0).n_vertices == 6420
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def degenerate_generators(draw):
+    """6 x m matrices, m <= 8, of rank at most 1-6, with repeated directions.
+
+    Every column after the first is drawn free or as a zero column, a
+    duplicate, a scaled copy or an antiparallel copy of an earlier one.
+    """
+    rank, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.normal(size=(6, rank)) @ rng.normal(size=(rank, m))
+    for j in range(1, m):
+        kind = draw(st.sampled_from(["free", "zero", "duplicate", "scaled", "antiparallel"]))
+        source = G[:, draw(st.integers(0, j - 1))]
+        scale = draw(st.sampled_from([0.25, 0.5, 2.0, 3.0]))
+        G[:, j] = {"free": G[:, j], "zero": 0.0, "duplicate": source,
+                   "scaled": scale * source, "antiparallel": -scale * source}[kind]
+    return G
+
+
+E1, E2 = np.eye(6)[:, 0], np.eye(6)[:, 1]
+
+
+@given(G=degenerate_generators())
+@example(G=np.column_stack([E1, np.zeros(6), E2]))  # a zero column
+@example(G=np.zeros((6, 3)))
+@example(G=np.array([[0.3, -1.0, 0.0, 0.2, 0.0, 0.5]]).T)  # one column
+@example(G=np.column_stack([E1 + E2, -2.0 * (E1 + E2)]))  # an antiparallel pair
+@settings(max_examples=80, deadline=None)
+def test_degenerate_generators_match_oracle(G):
+    vertices = construct_hull(G, 1.0).vertices
+    assert vertex_sets_match(vertices, prune_redundant(enumerate_binary_images(G, 1.0)).vertices)
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,6 @@ from .search import (
     generate_config_symmetry,
     heuristic_search,
     is_centrosymmetric,
-    run_search,
 )
 from .structures import (
     ModuleParams,

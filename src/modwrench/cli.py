@@ -66,8 +66,8 @@ def cmd_check(args) -> int:
 def cmd_search(args) -> int:
     config = fileio.read_structure(args.structure)
     task = fileio.read_task(args.task)
-    opts = SearchOptions(n_max=args.n_max, method=args.method, checker=args.checker)
-    result = search.run_search(config, task, opts)
+    run = search.heuristic_search if args.method == "heuristic" else search.exhaustive_search
+    result = run(config, task, SearchOptions(n_max=args.n_max, checker=args.checker))
     if args.out:
         fileio.write_search_result(args.out, result, args.method, args.checker)
     shift = " ".join(_fmt(v) for v in result.com_shift)

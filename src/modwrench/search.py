@@ -1,10 +1,11 @@
 """Minimum-module configuration search for a task requirement.
 
-Two strategies: breadth-first exhaustive growth over all attachable
-surfaces (smallest module count guaranteed over the reachable designs), and
-a centrosymmetric variant that docks module pairs mirrored through the
-center of mass, keeping the COM fixed and torque balance automatic at the
-cost of only reaching odd module counts from a single-module seed.
+Two strategies, one entry point each: `exhaustive_search`, breadth-first
+growth over all attachable surfaces (smallest module count guaranteed over
+the reachable designs), and `heuristic_search`, a centrosymmetric variant
+that docks module pairs mirrored through the center of mass, keeping the
+COM fixed at the cost of only reaching odd module counts from a
+single-module seed.  A result's `modules_total` is its design's.
 
 Both are one level loop over one growth function.  `_grow` adds a free
 neighbour cell to every design of a level, and with a center also its
@@ -58,7 +59,6 @@ from .structures import (
     StructureError,
     center_of_mass,
     configuration_matrix,
-    is_torque_balanced,
 )
 
 # Cells, summed over its designs, one search level may hold; memory goes
@@ -73,14 +73,11 @@ class AsymmetricSeedError(StructureError):
 @dataclass(frozen=True)
 class SearchOptions:
     n_max: int = 7                      # budget of modules added to the seed
-    method: str = "exhaustive"          # "exhaustive" | "heuristic"
     checker: str = "lp"                 # "lp" | "hull"
 
     def __post_init__(self):
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        if self.method not in ("exhaustive", "heuristic"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.checker not in ("lp", "hull"):
             raise ValueError(f"unknown checker {self.checker!r}")
 
@@ -88,10 +85,13 @@ class SearchOptions:
 @dataclass(frozen=True)
 class SearchResult:
     config: StructureConfig
-    modules_total: int
     evaluations: int
     satisfied: bool
     com_shift: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+    @property
+    def modules_total(self) -> int:
+        return self.config.n_modules
 
 
 class _SeparatingNormals:
@@ -208,10 +208,11 @@ def _grow(level: list, center=None) -> list:
 
     `level` holds sorted tuples of integer cells.  Each design gains a free
     neighbour cell; with `center`, twice the seed COM in cells, it gains the
-    point reflection of that cell too, unless the mirror is the cell itself
-    or occupied.  Translates collapse to the smallest absolute placement,
-    and the result is ordered by canonical form.  Raises hull.CapacityError
-    once the new level passes MAX_LEVEL_CELLS cells in all.
+    point reflection of that cell too, unless the mirror is the cell itself;
+    the mirror of a free cell of a centrosymmetric parent is free.
+    Translates collapse to the smallest absolute placement, and the result
+    is ordered by canonical form.  Raises hull.CapacityError once the new
+    level passes MAX_LEVEL_CELLS cells in all.
 
     A child's canonical form is keyed by the codes (x - x0) * size + y - y0
     of its sorted cells, (x0, y0) being its smallest x and y.  A design of
@@ -236,7 +237,7 @@ def _grow(level: list, center=None) -> list:
                 cx, cy = min(x0, cell[0]), min(y0, cell[1])
                 if center is not None:
                     mirror = (center[0] - cell[0], center[1] - cell[1])
-                    if mirror == cell or mirror in occupied:
+                    if mirror == cell:
                         continue
                     added = (cell, mirror)
                     cx, cy = min(cx, mirror[0]), min(cy, mirror[1])
@@ -302,8 +303,8 @@ def generate_config_symmetry(seed: StructureConfig, n_levels: int) -> list[list[
     Each level adds one mirrored pair of modules per attachable surface of
     each design of the previous level: a module at the surface's free cell
     and one at the point reflection of that cell through the seed COM.
-    Pairs whose mirror cell is occupied or coincides with the primary cell
-    are skipped.  Every emitted design keeps the seed's center of mass.
+    A pair whose mirror cell is the primary cell is skipped.  Every emitted
+    design keeps the seed's center of mass.
     """
     levels = islice(_levels(seed, _symmetry_center(seed)), 1, n_levels + 1)
     return [[StructureConfig(frozenset(cells), seed.params) for cells in level]
@@ -318,10 +319,9 @@ def _search(initial: StructureConfig, task, opts: SearchOptions, symmetric: bool
     that number stays within opts.n_max.  Within a level the designs are
     checked in canonical order and the first satisfying one is returned, so
     the result has the smallest reachable module count.  Levels below the
-    force-only bound are counted but not checked.
+    force-only bound are counted but not checked.  The seed is not checked
+    for torque balance, which every lattice design has under uniform thrust.
     """
-    if not is_torque_balanced(configuration_matrix(initial)):
-        raise StructureError("initial design must be torque-balanced")
     center = _symmetry_center(initial) if symmetric else None
     check = _make_checker(task, opts.checker)
     bound = _skip_bound(initial, task, opts.n_max)
@@ -336,9 +336,8 @@ def _search(initial: StructureConfig, task, opts: SearchOptions, symmetric: bool
             config = StructureConfig(frozenset(cells), initial.params)
             evaluations += 1
             if check(config):
-                return SearchResult(config, config.n_modules, evaluations, True,
-                                    center_of_mass(config) - com0)
-    return SearchResult(initial, initial.n_modules, evaluations, False, np.zeros(3))
+                return SearchResult(config, evaluations, True, center_of_mass(config) - com0)
+    return SearchResult(initial, evaluations, False, np.zeros(3))
 
 
 def exhaustive_search(initial: StructureConfig, task, opts: SearchOptions | None = None) -> SearchResult:
@@ -357,10 +356,3 @@ def heuristic_search(initial: StructureConfig, task, opts: SearchOptions | None 
     while the number of added modules stays within n_max.
     """
     return _search(initial, task, opts or SearchOptions(), symmetric=True)
-
-
-def run_search(initial: StructureConfig, task, opts: SearchOptions) -> SearchResult:
-    """Dispatch on opts.method."""
-    if opts.method == "heuristic":
-        return heuristic_search(initial, task, opts)
-    return exhaustive_search(initial, task, opts)

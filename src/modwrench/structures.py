@@ -178,9 +178,15 @@ def configuration_matrix(config: StructureConfig) -> np.ndarray:
 
 
 def is_torque_balanced(A: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff uniform thrust on all rotors produces zero net torque."""
-    A = np.asarray(A, dtype=float)
-    return float(np.linalg.norm(A[3:, :] @ np.ones(A.shape[1]))) <= tol
+    """True iff uniform thrust on all rotors produces zero net torque.
+
+    The net torque |A[3:] 1| is compared with `tol` times the summed norms
+    of the torque columns, the scale of its round-off, so the verdict does
+    not change with the lattice's length scale.
+    """
+    torques = np.asarray(A, dtype=float)[3:, :]
+    scale = float(np.linalg.norm(torques, axis=0).sum())
+    return float(np.linalg.norm(torques.sum(axis=1))) <= tol * scale
 
 
 def attachable_surfaces(config: StructureConfig) -> list[tuple[tuple[int, int], str]]:

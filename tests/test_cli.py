@@ -145,6 +145,18 @@ class TestSearch:
         task = write_task_file(tmp_path, [[0, 0, 0, 0, 0, 0]])
         assert main(["search", str(seed), task, "--method", "heuristic"]) == 4
 
+    def test_large_lattice_searches_as_it_checks(self, tmp_path, capsys):
+        # A side of 1e6 leaves 6e-10 of round-off in the L's net torque;
+        # the design is still a valid lattice structure, so search takes it.
+        seed = tmp_path / "l_big.txt"
+        write_structure(seed, StructureConfig(frozenset({(0, 0), (1, 0), (0, 1)}),
+                                              ModuleParams(side_length=1e6)))
+        task = write_task_file(tmp_path, [[0, 0, 2.0, 0, 0, 0]])
+        assert main(["check", str(seed), task]) == 0
+        capsys.readouterr()
+        assert main(["search", str(seed), task, "--n-max", "0"]) == 0
+        assert "modules: 3" in capsys.readouterr().out
+
     def test_result_round_trips(self, single_module_file, tmp_path):
         task = write_task_file(tmp_path, [[0, 0, 3.0, 0, 0, 0]])
         out = tmp_path / "res.txt"

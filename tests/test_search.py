@@ -17,7 +17,6 @@ from modwrench.search import (
     generate_config_symmetry,
     heuristic_search,
     is_centrosymmetric,
-    run_search,
 )
 from modwrench.structures import (
     DIRECTIONS,
@@ -162,6 +161,19 @@ class TestSymmetryGenerator:
         with pytest.raises(AsymmetricSeedError):
             generate_config_symmetry(lshape, 1)
 
+    def test_ring_never_fills_its_center(self):
+        # The free centre (1, 1) is its own mirror, so no pair can add it.
+        ring = make_config({(x, y) for x in range(3) for y in range(3)} - {(1, 1)})
+        com0 = center_of_mass(ring)
+        levels = generate_config_symmetry(ring, 2)
+        assert [len(level) for level in levels] == [6, 25]
+        for k, level in enumerate(levels, start=1):
+            for cfg in level:
+                assert cfg.n_modules == 8 + 2 * k
+                assert (1, 1) not in cfg.cells
+                assert is_centrosymmetric(cfg)
+                assert np.allclose(center_of_mass(cfg), com0, atol=1e-12)
+
 
 def grown_levels(seed, count, center=None):
     """The first `count` levels grown from a seed cell set, as sorted cell tuples."""
@@ -237,8 +249,7 @@ class TestHeuristic:
         assert res.satisfied and res.evaluations == 1 and res.modules_total == 1
 
     def test_needs_three_modules(self):
-        res = heuristic_search(make_config({(0, 0)}), z_task(3.0),
-                               SearchOptions(n_max=6, method="heuristic"))
+        res = heuristic_search(make_config({(0, 0)}), z_task(3.0), SearchOptions(n_max=6))
         assert res.satisfied
         assert res.modules_total == 3
         assert np.allclose(res.com_shift, 0.0, atol=1e-12)
@@ -295,21 +306,18 @@ class TestCrossMethod:
         assert ha.config.cells == hb.config.cells
         assert ha.evaluations == hb.evaluations
 
-    def test_run_search_dispatch(self):
-        seed = make_config({(0, 0)})
-        task = z_task(0.0)
-        assert run_search(seed, task, SearchOptions(method="exhaustive")).satisfied
-        assert run_search(seed, task, SearchOptions(method="heuristic")).satisfied
-
 
 class TestOptions:
     def test_invalid_options(self):
         with pytest.raises(ValueError):
             SearchOptions(n_max=-1)
         with pytest.raises(ValueError):
-            SearchOptions(method="magic")
-        with pytest.raises(ValueError):
             SearchOptions(checker="oracle")
+
+    def test_method_is_not_an_option(self):
+        # The function called picks the method; an option could only disagree.
+        with pytest.raises(TypeError):
+            exhaustive_search(make_config({(0, 0)}), z_task(0.0), SearchOptions(method="heuristic"))
 
 
 def vertical_capacity(eta=np.pi / 4, f_max=1.0):

@@ -250,6 +250,14 @@ class TestTorqueBalance:
                     A = configuration_matrix(make_config(cells, eta=eta, c_tau=c_tau))
                     assert is_torque_balanced(A, 1e-10), (cells, eta, c_tau)
 
+    @pytest.mark.parametrize("side_length", [1e6, 1e8, 1e12])
+    def test_large_lattice_balances(self, side_length):
+        # The net torque's round-off grows with the lattice's length scale:
+        # 8e-10 for this T pentomino at a side of 1e6, 1e-4 at 1e12.
+        cells = {(0, 0), (1, 0), (2, 0), (1, 1), (1, 2)}
+        A = configuration_matrix(make_config(cells, side_length=side_length))
+        assert is_torque_balanced(A, 1e-10)
+
 
 class TestSurfaces:
     def test_single_module_four_surfaces(self):

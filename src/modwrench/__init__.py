@@ -14,13 +14,11 @@ from .hull import (
     WrenchHull,
     construct_hull,
     hull_contains,
-    satisfies_task_hull,
 )
 from .lp import (
     SolverError,
     max_force_zero_torque,
     max_lambda,
-    satisfies_task,
     satisfies_wrench,
 )
 from .search import (

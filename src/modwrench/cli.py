@@ -55,7 +55,7 @@ def cmd_check(args) -> int:
         h = hull.construct_hull(A, f_max)
         verdicts = [hull.hull_contains(h, w) for w in task]
     else:
-        verdicts = lp.task_verdicts(A, task, f_max)
+        verdicts = lp.task_capacity(A, task, f_max)[0]
     for i, ok in enumerate(verdicts):
         print(f"wrench {i}: {'ok' if ok else 'INFEASIBLE'}")
     satisfied = all(verdicts)
@@ -96,6 +96,8 @@ def cmd_hull(args) -> int:
 def cmd_gen_task(args) -> int:
     task = allocation.generate_random_task(
         args.count, half_range=args.half_range, fz_scale=args.fz_scale, seed=args.seed)
+    if not all(math.isfinite(sum(v * v for v in row)) for row in task.tolist()):
+        raise fileio.ParseError("--half-range and --fz-scale give a wrench of non-finite norm")
     fileio.write_task(args.out, task)
     print(f"{task.shape[0]} wrenches -> {args.out}")
     return EXIT_OK
@@ -135,7 +137,7 @@ def _checked(kind, accept, what):
 
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
-_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_half_range = _checked(float, lambda v: 0 < 2 * v < math.inf, "a positive number whose double is finite")
 _finite_float = _checked(float, math.isfinite, "a finite number")
 
 
@@ -172,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-task", help="generate a seeded random task file")
     p.add_argument("--count", type=_positive_int, default=80)
-    p.add_argument("--half-range", type=_positive_float, default=0.5, dest="half_range")
+    p.add_argument("--half-range", type=_half_range, default=0.5, dest="half_range")
     p.add_argument("--fz-scale", type=_finite_float, default=30.0, dest="fz_scale")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_task)
 

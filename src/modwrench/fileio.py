@@ -8,6 +8,7 @@ names the offending line and field.  The tilt angle accepts fractions of pi
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -36,11 +37,10 @@ def parse_angle(text: str) -> float:
     except ValueError:
         pass
     m = _PI_RE.match(text)
-    if not m:
+    div = float(m.group("div") or 1.0) if m else 0.0
+    if div == 0.0:
         raise ValueError(f"cannot parse angle {text!r}")
-    value = float(m.group("coef") or 1.0) * np.pi
-    if m.group("div"):
-        value /= float(m.group("div"))
+    value = float(m.group("coef") or 1.0) * np.pi / div
     return -value if m.group("sign") else value
 
 
@@ -130,8 +130,8 @@ def parse_task(text: str, name: str = "task file") -> np.ndarray:
             row = [float(p) for p in parts]
         except ValueError:
             raise ParseError(f"{name}, line {lineno}: malformed number in {line!r}") from None
-        if not all(np.isfinite(row)):
-            raise ParseError(f"{name}, line {lineno}: wrench components must be finite")
+        if not math.isfinite(sum(v * v for v in row)):  # |w|^2 as lp sums it, without a warning
+            raise ParseError(f"{name}, line {lineno}: wrench norm must be finite")
         rows.append(row)
     if not rows:
         raise ParseError(f"{name}: no wrench rows")

@@ -188,27 +188,24 @@ def construct_hull(A, f_max: float) -> WrenchHull:
     return WrenchHull(A, float(f_max), basis, normals, offsets, signs, float(f_max) * tol)
 
 
-def _inside(hull: WrenchHull, W) -> np.ndarray:
-    """Membership of each row of W: on range(A) and below every facet, within hull.tol."""
+def _excess(hull: WrenchHull, W):
+    """Per row of W: residual off range(A), its norm, facet excess y N^T - (h + tol)."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
+    if not np.isfinite(np.linalg.norm(W, axis=1)).all():
+        raise ValueError("task wrenches must have finite norms")
     y = W @ hull.basis
-    residual = np.linalg.norm(W - y @ hull.basis.T, axis=1)
-    below = np.all(y @ hull.normals.T <= hull.offsets + hull.tol, axis=1)
-    return (residual <= hull.tol) & below
+    off = W - y @ hull.basis.T
+    return off, np.linalg.norm(off, axis=1), y @ hull.normals.T - (hull.offsets + hull.tol)
 
 
 def hull_contains(hull: WrenchHull, w) -> bool:
     """True iff the wrench w lies in the hull (within hull.tol)."""
-    return bool(_inside(hull, w)[0])
-
-
-def satisfies_task_hull(A, task, f_max: float) -> bool:
-    """Build the wrench hull once, then test every task wrench against it."""
-    return bool(_inside(construct_hull(A, f_max), task).all())
+    _, off_norm, excess = _excess(hull, w)
+    return bool(off_norm[0] <= hull.tol and (excess[0] <= 0.0).all())
 
 
 def separating_normal_hull(A, task, f_max: float):
-    """satisfies_task_hull's verdict, with a unit normal that separates a failing wrench.
+    """The hull's verdict on a task, with a unit normal that separates a failing wrench.
 
     Returns None when the hull holds every task wrench, else (i, n): wrench
     i fails and n . w_i > h(n).  A wrench off range(A) gives its residual
@@ -216,14 +213,10 @@ def separating_normal_hull(A, task, f_max: float):
     to six coordinates through the hull's basis.
     """
     h = construct_hull(A, f_max)
-    W = np.atleast_2d(np.asarray(task, dtype=float))
-    y = W @ h.basis
-    off = W - y @ h.basis.T
-    off_norm = np.linalg.norm(off, axis=1)
+    off, off_norm, excess = _excess(h, task)
     if (off_norm > h.tol).any():
         i = int(np.argmax(off_norm))
         return i, off[i] / off_norm[i]
-    excess = y @ h.normals.T - (h.offsets + h.tol)
     i, k = np.unravel_index(np.argmax(excess), excess.shape)
     if excess[i, k] <= 0.0:
         return None

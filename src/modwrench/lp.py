@@ -33,7 +33,7 @@ reaches |w|.  The failing problem's dual y, the one that priced its final
 basis, gives the unit normal n = -y / |y| (mapped back from range(A) on a
 rank-deficient A) with n . w > h_A(n), h_A being the support function
 f_max * sum_i max(0, n . a_i) of the wrench set (LP duality: Bertsimas &
-Tsitsiklis, ch. 4).  `task_verdicts` keeps full solves, since `check`
+Tsitsiklis, ch. 4).  `task_capacity` keeps full solves, since `check`
 prints every verdict.
 """
 
@@ -59,7 +59,7 @@ _PIVOT_TOL = 1e-10
 # would break ties differently when f_max and the task are rescaled.
 _TIE_TOL = 1e-12
 # Pivots between refactorizations of the stacked basis inverses of
-# max_lambda_many; the eta updates in between accumulate round-off.
+# _max_lambda_batch; the eta updates in between accumulate round-off.
 _REFACTOR_EVERY = 32
 
 
@@ -80,6 +80,8 @@ def _setup(A, task, f_max: float):
     if not (np.isfinite(f_max) and f_max > 0):
         raise ValueError("f_max must be positive")
     norms = np.linalg.norm(task, axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError("task wrenches must have finite norms")
     scale = f_max * float(np.linalg.norm(A, axis=0).max())
     return A, task, norms, np.flatnonzero(norms > ZERO_WRENCH_TOL * scale), BOUNDARY_TOL * scale
 
@@ -88,23 +90,14 @@ def max_lambda(A, w_hat, f_max: float):
     """Largest magnitude lambda with A @ u = lambda * w_hat, 0 <= u <= f_max.
 
     w_hat must be a unit 6-vector.  Returns (lambda_star, u_star); u = 0 makes
-    lambda = 0 feasible, so lambda_star >= 0 always.  The one-row case of
-    max_lambda_many.
+    lambda = 0 feasible, so lambda_star >= 0 always, and a w_hat that leaves
+    range(A) gets lambda = 0 and u = 0.
     """
-    lam, U = max_lambda_many(A, np.asarray(w_hat, dtype=float)[None], f_max)
-    return float(lam[0]), U[0]
-
-
-def max_lambda_many(A, W_hat, f_max: float):
-    """max_lambda for every row of W_hat at once; returns (lambda_star (k,), U (k, n)).
-
-    Each row must be a unit 6-vector.  A row that leaves range(A) gets
-    lambda = 0 and u = 0.
-    """
-    A, W, norms, _, _ = _setup(A, W_hat, f_max)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    A, W, norms, _, _ = _setup(A, np.asarray(w_hat, dtype=float)[None], f_max)
+    if abs(norms[0] - 1.0) > 1e-9:
         raise ValueError("direction must have unit norm")
-    return _capacity(A, W, float(f_max))
+    lam, U = _capacity(A, W, float(f_max))
+    return float(lam[0]), U[0]
 
 
 def _capacity(A, W, f_max, stop=None):
@@ -131,8 +124,6 @@ def _capacity(A, W, f_max, stop=None):
         A, W = Q.T @ A, W_range
     kernel = _simplex if on.size == 1 else _max_lambda_batch
     if stop is None:
-        if on.size == W.shape[0]:
-            return kernel(A, W, f_max)
         lam, U = np.zeros(W.shape[0]), np.zeros((W.shape[0], A.shape[1]))
         lam[on], U[on] = kernel(A, W[on], f_max)
         return lam, U
@@ -374,17 +365,12 @@ def task_capacity(A, task, f_max: float):
     return lam >= norms - band, lam, U
 
 
-def task_verdicts(A, task, f_max: float) -> np.ndarray:
-    """satisfies_wrench for every wrench of a task, as one bool per row."""
-    return task_capacity(A, task, f_max)[0]
-
-
 def separating_normal(A, task, f_max: float):
     """A task wrench outside the wrench set of A, with a unit normal that separates it.
 
     Returns None when every wrench passes, else (i, n): wrench i fails and
     n . w_i > h_A(n) = f_max * sum_j max(0, n . a_j).  The verdict is that
-    of task_verdicts, band included.  A row off range(A) gives its residual
+    of task_capacity, band included.  A row off range(A) gives its residual
     direction.  The others share one solve that ends at the first problem
     found optimal and short of |w| - band, whose dual y gives n = -y
     (mapped back to six coordinates on a rank-deficient A): at that optimum
@@ -396,17 +382,6 @@ def separating_normal(A, task, f_max: float):
     hit = _capacity(A, task[live] / norms[live, None], float(f_max),
                     (norms[live] - band, norms[live]))
     return None if hit is None else (int(live[hit[0]]), hit[1])
-
-
-def satisfies_task(A, task, f_max: float):
-    """Check every wrench of a task; returns (all_ok, first_failing_index).
-
-    Every wrench is checked; the reported index is the smallest failing one.
-    """
-    failing = np.flatnonzero(~task_verdicts(A, task, f_max))
-    if failing.size:
-        return False, int(failing[0])
-    return True, None
 
 
 def max_force_zero_torque(A, f_hat, f_max: float) -> float:

@@ -137,9 +137,6 @@ class StructureConfig:
     def sorted_cells(self) -> list:
         return sorted(self.cells)
 
-    def canonical(self) -> tuple:
-        return canonical_form(self.cells)
-
 
 def center_of_mass(config: StructureConfig) -> np.ndarray:
     """Mean of occupied cell centers in meters; z = 0."""

@@ -7,7 +7,7 @@ from modwrench.allocation import (
     min_norm_allocation,
     truncate_input,
 )
-from modwrench.lp import BOUNDARY_TOL, SolverError, max_lambda, satisfies_wrench, task_capacity, task_verdicts
+from modwrench.lp import BOUNDARY_TOL, SolverError, max_lambda, satisfies_wrench, task_capacity
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -168,7 +168,6 @@ class TestFallback:
                     assert not row.saturated and row.error <= shortfall + 1e-12 * scale
                 else:
                     assert row.saturated or row.error > 1e-6 * scale
-            assert np.array_equal(verdicts, task_verdicts(A, k * task, k))
             assert not verdicts[pushed].any() and verdicts[banded].all()
             outcomes.append((verdicts.tolist(), [row.saturated for row in report.rows]))
         assert outcomes[0] == outcomes[1] == outcomes[2]
@@ -197,7 +196,7 @@ class TestFallback:
         task = np.array([A @ (n @ A > 0) + 1e-8 * n for n in N[[3, 45, 67]]]
                         + [A @ np.full(12, 0.5)])
         with pytest.raises(SolverError):
-            task_verdicts(A, task, 1.0)
+            task_capacity(A, task, 1.0)
         report = evaluate_task_trace(A, task, 1.0, fallback=True)
         scale = np.linalg.norm(A, axis=0).max()
         for row in report.rows[:3]:

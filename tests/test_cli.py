@@ -100,6 +100,16 @@ class TestCheck:
         bad.write_text("1 2 3\n")
         assert main(["check", single_module_file, str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", [["check"], ["check", "--method", "hull"], ["search"]],
+                             ids=["check", "check-hull", "search"])
+    def test_wrench_norm_overflow_exits_2(self, command, single_module_file, tmp_path, capsys):
+        # Every component is finite, but |w| overflows: no route can decide it.
+        task = tmp_path / "huge.txt"
+        task.write_text("2e154 0 0 0 0 0\n")
+        assert main([command[0], single_module_file, str(task), *command[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
     def test_missing_task_file_exits_2(self, single_module_file, tmp_path):
         proc = run_module("check", single_module_file, str(tmp_path / "missing.txt"))
         assert proc.returncode == 2
@@ -123,9 +133,10 @@ class TestSearch:
 
     def test_negative_budget_exits_2(self, single_module_file, tmp_path):
         task = write_task_file(tmp_path, [[0, 0, 3.0, 0, 0, 0]])
-        proc = run_module("search", single_module_file, task, "--n-max", "-1")
-        assert proc.returncode == 2
-        assert "--n-max" in proc.stderr and "Traceback" not in proc.stderr
+        for budget in ("-1", "abc"):
+            proc = run_module("search", single_module_file, task, "--n-max", budget)
+            assert proc.returncode == 2
+            assert "--n-max" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_missing_structure_file_exits_2(self, tmp_path):
         task = write_task_file(tmp_path, [[0, 0, 3.0, 0, 0, 0]])
@@ -260,7 +271,9 @@ class TestGenTask:
 
     @pytest.mark.parametrize("option, value", [("--count", "0"), ("--count", "-2"),
                                                ("--half-range", "-1"), ("--half-range", "inf"),
-                                               ("--fz-scale", "nan"), ("--fz-scale", "inf")])
+                                               ("--fz-scale", "nan"), ("--fz-scale", "inf"),
+                                               ("--seed", "-1"), ("--half-range", "1e308"),
+                                               ("--fz-scale", "1e308")])
     def test_invalid_value_exits_2(self, option, value, tmp_path):
         out = tmp_path / "t.txt"
         proc = run_module("gen-task", option, value, "--out", str(out))

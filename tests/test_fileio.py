@@ -51,6 +51,9 @@ class TestAngles:
     def test_reject_garbage(self):
         with pytest.raises(ValueError):
             parse_angle("pie/4")
+        for zero in ("pi/0", "pi/0.0", "-3*pi/00"):
+            with pytest.raises(ValueError, match="cannot parse angle"):
+                parse_angle(zero)
 
 
 class TestStructureFiles:
@@ -87,6 +90,17 @@ class TestStructureFiles:
         with pytest.raises(ParseError, match="two integers"):
             parse_structure(STRUCTURE_TEXT + "3 4 5\n")
 
+    @pytest.mark.parametrize("text, match", [
+        (STRUCTURE_TEXT.replace("f_max = 1.0", "f_max 1.0"), "line 6: expected 'key = value'"),
+        (STRUCTURE_TEXT + "1 x\n", "line 10: malformed cell coordinate"),
+        (STRUCTURE_TEXT.split("cells:")[0], "missing 'cells:' section"),
+        (STRUCTURE_TEXT.split("0 0")[0], "'cells:' section is empty"),
+        (STRUCTURE_TEXT.replace("pi/4", "pi/0"), "line 2: malformed number for field 'eta'"),
+    ], ids=["stray line", "cell coordinate", "no cells", "empty cells", "zero divisor"])
+    def test_malformed_layout(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse_structure(text)
+
     def test_disconnected_cells_are_structure_errors(self):
         from modwrench.structures import StructureError
         text = STRUCTURE_TEXT + "5 5\n"
@@ -108,6 +122,12 @@ class TestTaskFiles:
     def test_malformed_number(self):
         with pytest.raises(ParseError, match="malformed"):
             parse_task("1 2 3 4 5 potato\n")
+
+    @pytest.mark.parametrize("row", ["0 0 nan 0 0 0", "0 0 inf 0 0 0", "0 0 2e154 0 0 0"])
+    def test_norm_must_be_finite(self, row):
+        # |w| overflows past ~1.34e154, where every component is still finite.
+        with pytest.raises(ParseError, match="line 2: wrench norm must be finite"):
+            parse_task("0 0 1 0 0 0\n" + row + "\n")
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError, match="no wrench rows"):

@@ -11,10 +11,9 @@ from modwrench.hull import (
     CapacityError,
     construct_hull,
     hull_contains,
-    satisfies_task_hull,
     separating_normal_hull,
 )
-from modwrench.lp import satisfies_task, satisfies_wrench, separating_normal, task_verdicts
+from modwrench.lp import satisfies_wrench, separating_normal, task_capacity
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
 from brute_force import REDUNDANCY_TOL, _in_hull_residual, enumerate_binary_images, prune_redundant
@@ -222,12 +221,12 @@ class TestContainment:
 class TestTaskSatisfaction:
     def test_zero_task(self):
         A = module_matrix()
-        assert satisfies_task_hull(A, np.zeros((1, 6)), 1.0)
+        assert separating_normal_hull(A, np.zeros((1, 6)), 1.0) is None
 
     def test_vertical_threshold(self):
         A = module_matrix(eta=np.pi / 4)
-        assert satisfies_task_hull(A, np.array([[0, 0, 2 * SQRT2, 0, 0, 0]]), 1.0)
-        assert not satisfies_task_hull(A, np.array([[0, 0, 3.0, 0, 0, 0]]), 1.0)
+        assert separating_normal_hull(A, np.array([[0, 0, 2 * SQRT2, 0, 0, 0]]), 1.0) is None
+        assert separating_normal_hull(A, np.array([[0, 0, 3.0, 0, 0, 0]]), 1.0) is not None
 
 
 class TestSeparatingNormal:
@@ -247,13 +246,25 @@ class TestSeparatingNormal:
             tasks.append(np.vstack([inside, off]))
         for task in tasks:
             hit = separating_normal_hull(A, task, f_max)
-            assert (hit is None) == satisfies_task_hull(A, task, f_max)
+            h = construct_hull(A, f_max)
+            assert (hit is None) == all(hull_contains(h, w) for w in task)
             if hit is not None:
                 i, n = hit
-                assert not satisfies_task_hull(A, task[i:i + 1], f_max)
+                assert not hull_contains(h, task[i])
                 assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
                 assert n @ task[i] > f_max * np.maximum(n @ A, 0.0).sum()
         assert separating_normal_hull(A, tasks[0], f_max) is None
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("bad", [np.nan, 1e200])
+    def test_rejects_non_finite_norms(self, bad):
+        # A 1e200 row overflows |w|; no unit normal can be read off it.
+        A = module_matrix()
+        task = np.array([[0, 0, 1.0, 0, 0, 0], [0, 0, bad, 0, 0, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            separating_normal_hull(A, task, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            hull_contains(construct_hull(A, 1.0), task[1])
 
 
 class TestFacets:
@@ -400,12 +411,12 @@ def test_task_verdicts_invariant_under_joint_scaling(log_margin, structure, k, i
     task = np.array([banded_wrench(A, inside, 10.0 ** log_margin, coeffs, direction),
                      banded_wrench(A, True, 0.25, coeffs[::-1], direction)])
     for f_max in (1.0, k):
-        assert task_verdicts(A, f_max * task, f_max).tolist() == [inside, True]
+        assert task_capacity(A, f_max * task, f_max)[0].tolist() == [inside, True]
 
 
 def lp_and_hull_verdicts(A, w, f_max):
     """The verdict on w of every LP route and of the hull."""
-    return [satisfies_wrench(A, w, f_max), *task_verdicts(A, [w, w], f_max),
+    return [satisfies_wrench(A, w, f_max), *task_capacity(A, [w, w], f_max)[0],
             separating_normal(A, [w, w], f_max) is None,
             hull_contains(construct_hull(A, f_max), w)]
 
@@ -449,12 +460,14 @@ def test_half_turn_of_the_lattice_maps_verdicts(cells):
     task = np.array([banded_wrench(A, ok, rng.uniform(0.05, 0.3), rng.uniform(size=16),
                                    rng.normal(size=6)) for ok in inside])
     turned = task @ HALF_TURN.T
-    assert task_verdicts(A, task, 1.0).tolist() == inside.tolist()
-    assert task_verdicts(B, turned, 1.0).tolist() == inside.tolist()
+    assert task_capacity(A, task, 1.0)[0].tolist() == inside.tolist()
+    assert task_capacity(B, turned, 1.0)[0].tolist() == inside.tolist()
     hull_a, hull_b = construct_hull(A, 1.0), construct_hull(B, 1.0)
     assert [hull_contains(hull_b, w) for w in turned] == inside.tolist()
     assert [hull_contains(hull_a, w) for w in task] == inside.tolist()
     for rows in (task, task[inside]):
         turned_rows = rows @ HALF_TURN.T
-        assert satisfies_task(A, rows, 1.0) == satisfies_task(B, turned_rows, 1.0)
-        assert satisfies_task_hull(A, rows, 1.0) == satisfies_task_hull(B, turned_rows, 1.0)
+        assert (separating_normal(A, rows, 1.0) is None) == (
+            separating_normal(B, turned_rows, 1.0) is None)
+        assert (separating_normal_hull(A, rows, 1.0) is None) == (
+            separating_normal_hull(B, turned_rows, 1.0) is None)

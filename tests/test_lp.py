@@ -6,11 +6,9 @@ from modwrench import lp as lp_module
 from modwrench.lp import (
     max_force_zero_torque,
     max_lambda,
-    max_lambda_many,
-    satisfies_task,
     satisfies_wrench,
     separating_normal,
-    task_verdicts,
+    task_capacity,
 )
 from modwrench.structures import ModuleParams, StructureConfig, configuration_matrix
 
@@ -146,27 +144,35 @@ class TestSatisfies:
 
     def test_task_all_binary_points(self):
         A = single_module_matrix()
-        ok, failing = satisfies_task(A, enumerate_binary_images(A, 1.0), 1.0)
-        assert ok and failing is None
+        assert task_capacity(A, enumerate_binary_images(A, 1.0), 1.0)[0].all()
 
     def test_task_zero_rows(self):
         A = single_module_matrix()
-        ok, failing = satisfies_task(A, np.zeros((2, 6)), 1.0)
-        assert ok and failing is None
+        ok, lam, U = task_capacity(A, np.zeros((2, 6)), 1.0)
+        assert ok.all() and not lam.any() and not U.any()
 
-    def test_task_reports_smallest_failing_index(self):
+    def test_task_flags_every_failing_wrench(self):
         A = single_module_matrix()
         task = np.zeros((4, 6))
         task[2, 2] = 50.0  # infeasible
         task[3, 2] = 60.0  # also infeasible, but later
-        ok, failing = satisfies_task(A, task, 1.0)
-        assert not ok and failing == 2
+        assert task_capacity(A, task, 1.0)[0].tolist() == [True, True, False, False]
 
     def test_scaled_past_vertex_fails(self):
         A = single_module_matrix()
         v = np.asarray(A @ np.ones(4))  # extreme along z
         assert satisfies_wrench(A, v, 1.0)
         assert not satisfies_wrench(A, 1.01 * v, 1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("bad", [np.nan, 1e200])
+    def test_task_rejects_non_finite_norms(self, bad):
+        # |w| overflows once |w| > ~1.34e154; a NaN row has no norm at all.
+        A = single_module_matrix()
+        task = np.array([[0, 0, 1.0, 0, 0, 0], [0, 0, bad, 0, 0, 0]])
+        for query in (task_capacity, separating_normal):
+            with pytest.raises(ValueError, match="finite"):
+                query(A, task, 1.0)
 
     @pytest.mark.parametrize("f_max", [1.0, 1e-6])
     def test_boundary_band_scales_with_f_max(self, f_max):
@@ -206,15 +212,9 @@ def mixed_task(A, f_max, seed):
     return np.array(rows)
 
 
-def per_wrench(A, task, f_max):
-    """The per-wrench loop satisfies_task used to run."""
-    for i, w in enumerate(task):
-        if not satisfies_wrench(A, w, f_max):
-            return False, i
-    return True, None
-
-
 class TestMaxLambdaMany:
+    """The batched kernel, which task_capacity runs on a task of many rows."""
+
     @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("cells", BATCH_STRUCTURES, ids=len)
     def test_matches_scalar_solve_row_by_row(self, cells, f_max):
@@ -223,7 +223,7 @@ class TestMaxLambdaMany:
         task = mixed_task(A, f_max, seed=len(cells))
         W = task[np.linalg.norm(task, axis=1) > 0]
         W = W / np.linalg.norm(W, axis=1, keepdims=True)
-        lam, U = max_lambda_many(A, W, f_max)
+        _, lam, U = task_capacity(A, W, f_max)
         ref = np.array([max_lambda(A, w, f_max)[0] for w in W])
         assert np.abs(lam - ref).max() <= 1e-9 * scale
         assert (ref > 0).sum() >= 5
@@ -231,16 +231,17 @@ class TestMaxLambdaMany:
             assert lam[2] == 0.0 and not U[2].any()  # the row off range(A)
         assert U.min() >= -1e-9 * f_max and U.max() <= f_max * (1 + 1e-9)
         assert np.abs(U @ A.T - lam[:, None] * W).max() <= 1e-9 * scale
-        assert satisfies_task(A, task, f_max) == per_wrench(A, task, f_max)
-        assert satisfies_task(A, task[::-1], f_max) == per_wrench(A, task[::-1], f_max)
+        for rows in (task, task[::-1]):
+            assert task_capacity(A, rows, f_max)[0].tolist() == [
+                satisfies_wrench(A, w, f_max) for w in rows]
 
     def test_verdicts_cover_both_outcomes(self):
         A = configuration_matrix(StructureConfig(frozenset(BATCH_STRUCTURES[2])))
         task = mixed_task(A, 1.0, seed=4)
-        verdicts = task_verdicts(A, task, 1.0)
+        verdicts = task_capacity(A, task, 1.0)[0]
         assert verdicts.tolist() == [satisfies_wrench(A, w, 1.0) for w in task]
         assert verdicts.any() and not verdicts.all()
-        assert satisfies_task(A, task[verdicts], 1.0) == (True, None)
+        assert task_capacity(A, task[verdicts], 1.0)[0].all()
 
     @pytest.mark.parametrize("f_max", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("cells", BATCH_STRUCTURES, ids=len)
@@ -254,7 +255,7 @@ class TestMaxLambdaMany:
                        np.random.default_rng(len(cells)).normal(size=(8, 6))])
         W /= np.linalg.norm(W, axis=1, keepdims=True)
         for w in W:
-            assert abs(max_lambda(A, w, f_max)[0] - max_lambda_many(A, [w, w], f_max)[0][0]) \
+            assert abs(max_lambda(A, w, f_max)[0] - task_capacity(A, [w, w], f_max)[1][0]) \
                 <= 1e-12 * scale
 
     def test_one_batch_against_highs(self):
@@ -262,18 +263,18 @@ class TestMaxLambdaMany:
         W = np.random.default_rng(5).normal(size=(12, 6))
         W[:, 2] = np.abs(W[:, 2]) * 4
         W /= np.linalg.norm(W, axis=1, keepdims=True)
-        lam, _ = max_lambda_many(A, W, 1.0)
+        _, lam, _ = task_capacity(A, W, 1.0)
         for w, got in zip(W, lam):
             assert got == pytest.approx(highs_max_lambda(A, w, 1.0), abs=1e-7)
 
     def test_rejects_bad_directions(self):
         A = single_module_matrix()
         with pytest.raises(ValueError):
-            max_lambda_many(A, np.array([[0, 0, 1.0, 0, 0, 0], [0, 0, 2.0, 0, 0, 0]]), 1.0)
+            max_lambda(A, np.array([[0, 0, 1.0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0]]), 1.0)
         with pytest.raises(ValueError):
-            max_lambda_many(A, np.eye(3), 1.0)
+            max_lambda(A, np.eye(3)[0], 1.0)
         with pytest.raises(ValueError):
-            max_lambda_many(A, np.eye(6), 0.0)
+            max_lambda(A, np.eye(6)[2], 0.0)
 
 
 def early_exit_tasks(A, f_max, seed):
@@ -283,7 +284,7 @@ def early_exit_tasks(A, f_max, seed):
     that row alone, and a passing row alone, are one-row tasks.
     """
     task = mixed_task(A, f_max, seed)
-    ok = task_verdicts(A, task, f_max)
+    ok = task_capacity(A, task, f_max)[0]
     passing, failing = task[ok], task[~ok]
     w_hat = passing[0] / np.linalg.norm(passing[0])
     tight = (1 + 1e-6) * max_lambda(A, w_hat, f_max)[0] * w_hat
@@ -302,7 +303,7 @@ class TestSeparatingNormal:
         A = configuration_matrix(StructureConfig(frozenset(cells), ModuleParams(f_max=f_max)))
         outcomes = []
         for task in early_exit_tasks(A, f_max, seed=len(cells)):
-            verdicts = task_verdicts(A, task, f_max)
+            verdicts = task_capacity(A, task, f_max)[0]
             hit = separating_normal(A, task, f_max)
             assert (hit is None) == verdicts.all()
             outcomes.append(hit is None)
@@ -316,7 +317,7 @@ class TestSeparatingNormal:
     def test_returns_the_off_range_row(self):
         A = configuration_matrix(StructureConfig(frozenset(BATCH_STRUCTURES[1])))
         task = mixed_task(A, 1.0, seed=3)
-        passing = task[task_verdicts(A, task, 1.0)]
+        passing = task[task_capacity(A, task, 1.0)[0]]
         i, n = separating_normal(A, np.vstack([passing, task[2:3]]), 1.0)
         assert i == len(passing)
         assert np.abs(n @ A).max() <= 1e-12  # the residual direction is orthogonal to range(A)
@@ -327,7 +328,7 @@ class TestSeparatingNormal:
         # that passes settles each row as soon as its lambda reaches |w|.
         A = configuration_matrix(StructureConfig(frozenset(BATCH_STRUCTURES[3])))
         task = mixed_task(A, 1.0, seed=4)
-        passing = task[task_verdicts(A, task, 1.0)]
+        passing = task[task_capacity(A, task, 1.0)[0]]
         monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
         inverses = []
         inv = np.linalg.inv
@@ -338,7 +339,7 @@ class TestSeparatingNormal:
             assert (hit if hit is None else hit[:1]) == want
             early = len(inverses)
             inverses.clear()
-            task_verdicts(A, task, 1.0)
+            task_capacity(A, task, 1.0)[0]
             assert 0 < early < len(inverses)
 
 
@@ -350,6 +351,10 @@ class TestZeroTorqueForce:
         lam, _ = max_lambda(A, np.array([0, 0, 1.0, 0, 0, 0]), 1.0)
         assert max_force_zero_torque(A, np.array([0, 0, 1.0]), 1.0) == pytest.approx(
             lam, abs=1e-12)
+
+    def test_rejects_non_3_vector(self):
+        with pytest.raises(ValueError, match="3-vector"):
+            max_force_zero_torque(single_module_matrix(), np.array([0, 0, 1.0, 0]), 1.0)
 
     def test_flat_module_has_no_lateral_force(self):
         A = single_module_matrix(eta=0.0)

@@ -7,7 +7,6 @@ import pytest
 
 from modwrench import hull, lp, search
 from modwrench.allocation import generate_random_task
-from modwrench.hull import satisfies_task_hull
 from modwrench.search import (
     AsymmetricSeedError,
     SearchOptions,
@@ -58,7 +57,7 @@ class TestExpandOne:
         oracle = dedup_oracle(cfg)
         children = expand_one(cfg)
         assert len(children) == len(oracle) == 2
-        assert {c.canonical() for c in children} == oracle
+        assert {canonical_form(c.cells) for c in children} == oracle
 
     def test_domino_children(self):
         cfg = make_config({(0, 0), (1, 0)})
@@ -66,17 +65,17 @@ class TestExpandOne:
         children = expand_one(cfg)
         assert len(attachable_surfaces(cfg)) == 6
         assert len(children) == len(oracle) == 5
-        assert {c.canonical() for c in children} == oracle
+        assert {canonical_form(c.cells) for c in children} == oracle
 
     def test_ring_includes_hole_filling_child(self):
         ring = {(x, y) for x in range(3) for y in range(3)} - {(1, 1)}
         cfg = make_config(ring)
         filled = canonical_form(ring | {(1, 1)})
-        assert filled in {c.canonical() for c in expand_one(cfg)}
+        assert filled in {canonical_form(c.cells) for c in expand_one(cfg)}
 
     def test_children_sorted_by_canonical_form(self):
         children = expand_one(make_config({(0, 0), (1, 0)}))
-        keys = [c.canonical() for c in children]
+        keys = [canonical_form(c.cells) for c in children]
         assert keys == sorted(keys)
 
 
@@ -126,7 +125,7 @@ class TestExhaustive:
 class TestSymmetryGenerator:
     def test_single_module_level_one_is_two_bars(self):
         levels = generate_config_symmetry(make_config({(0, 0)}), 1)
-        forms = {c.canonical() for c in levels[0]}
+        forms = {canonical_form(c.cells) for c in levels[0]}
         assert forms == {
             canonical_form({(0, 0), (1, 0), (2, 0)}),
             canonical_form({(0, 0), (0, 1), (0, 2)}),
@@ -135,7 +134,7 @@ class TestSymmetryGenerator:
     def test_bar_grows_to_longer_bar(self):
         bar = make_config({(-1, 0), (0, 0), (1, 0)})
         levels = generate_config_symmetry(bar, 1)
-        forms = {c.canonical() for c in levels[0]}
+        forms = {canonical_form(c.cells) for c in levels[0]}
         assert canonical_form({(i, 0) for i in range(5)}) in forms
 
     def test_com_preserved_and_symmetric(self):
@@ -347,7 +346,7 @@ def levels_up_to(n_modules):
     """Every fixed polyomino of at most n_modules cells, grouped by size."""
     levels = [[make_config({(0, 0)})]]
     while len(levels) < n_modules:
-        children = {c.canonical(): c for cfg in levels[-1] for c in expand_one(cfg)}
+        children = {canonical_form(c.cells): c for cfg in levels[-1] for c in expand_one(cfg)}
         levels.append([children[k] for k in sorted(children)])
     return levels
 
@@ -399,8 +398,8 @@ class TestForceBound:
                     break
                 for cfg in level:
                     A = configuration_matrix(cfg)
-                    assert not lp.satisfies_task(A, task, 1.0)[0]
-                    assert not satisfies_task_hull(A, task, 1.0)
+                    assert not lp.task_capacity(A, task, 1.0)[0].all()
+                    assert hull.separating_normal_hull(A, task, 1.0) is not None
                     skipped += 1
         assert skipped > 4 * (1 + 3 + 9)  # the tight tasks alone skip 52 designs
 
@@ -433,7 +432,7 @@ class TestSearchWithForceBound:
         # scalar solve and the longer one batched; neither may run on a
         # skipped level.
         calls = []
-        for name in ("max_lambda", "max_lambda_many", "separating_normal"):
+        for name in ("max_lambda", "task_capacity", "separating_normal"):
             solve = getattr(lp, name)
             monkeypatch.setattr(lp, name,
                                 lambda *a, solve=solve, **k: calls.append(1) or solve(*a, **k))
@@ -453,7 +452,7 @@ def capacity_along(A, f_max, rng):
     W = rng.uniform(-1.0, 1.0, size=(2, 6)) * [0.3, 0.3, 0.0, 0.02, 0.02, 0.02]
     W[:, 2] = 1.0
     W /= np.linalg.norm(W, axis=1, keepdims=True)
-    lam, _ = lp.max_lambda_many(A, W, f_max)
+    _, lam, _ = lp.task_capacity(A, W, f_max)
     assert (lam > 0).all()
     return lam, W
 
@@ -531,8 +530,8 @@ class TestSeparatingNormalCache:
                     check(cfg)
             assert rejected
             for A in rejected.values():
-                assert not lp.satisfies_task(A, task, f_max)[0]
-                assert not satisfies_task_hull(A, task, f_max)
+                assert not lp.task_capacity(A, task, f_max)[0].all()
+                assert hull.separating_normal_hull(A, task, f_max) is not None
         assert from_other_designs["lp"] > 0 and from_other_designs["hull"] > 0
 
     @pytest.mark.parametrize("checker", ["lp", "hull"])

@@ -98,6 +98,7 @@ class TestModuleParams:
         dict(f_max=0.0),
         dict(c_tau=-0.01),
         dict(eta=np.pi / 2),
+        dict(side_length=np.inf),
     ])
     def test_invalid_params(self, kwargs):
         with pytest.raises(StructureError):
@@ -297,6 +298,10 @@ class TestConnectivity:
         with pytest.raises(StructureError):
             make_config(set())
 
+    def test_structure_rejects_non_integer_cell(self):
+        with pytest.raises(StructureError, match="integers"):
+            make_config({(0, 0), (0.5, 0)})
+
 
 class TestCanonicalForm:
     def test_translation_normalized(self):
@@ -304,6 +309,10 @@ class TestCanonicalForm:
 
     def test_translates_agree(self):
         assert canonical_form({(0, 0), (1, 0)}) == canonical_form({(3, -2), (4, -2)})
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(StructureError, match="nonempty"):
+            canonical_form(set())
 
     def test_rotation_not_quotiented(self):
         assert canonical_form({(0, 0), (0, 1)}) != canonical_form({(0, 0), (1, 0)})
